@@ -10,7 +10,7 @@ from .ogposet import (
     OgPoset, ClosedSubset, PosetMap,
     InvalidStructure, FaceDimMismatch, OrientationClash, NotGraded,
     IndexOutOfRange, InvalidMap,
-    validate, apply_map, factorize, find_isomorphism,
+    factorize, find_isomorphism,
 )
 from .molecule import (
     MoleculeCert, NotAMolecule,

@@ -111,14 +111,15 @@ def _cmd_check(args) -> int:
         return 1
     sub = _subset(p, args.subset)
     kind = args.predicate
-    cert = is_molecule(sub)
     if kind == "molecule":
+        cert = is_molecule(sub)
         ok = cert is not None
         payload = cert.to_json_obj() if cert else None
     elif kind == "atom":
         ok = is_atom(sub)
         payload = None
     elif kind == "spherical":
+        cert = is_molecule(sub)
         ok = cert is not None and has_spherical_boundary(cert)
         payload = cert.to_json_obj() if cert else None
     elif kind == "regular":

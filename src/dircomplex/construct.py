@@ -394,15 +394,6 @@ def join(p: OgPoset, q: OgPoset) -> OgPoset:
     return join_with_index(p, q)[0]
 
 
-def join_map(f: PosetMap, g: PosetMap) -> PosetMap:
-    src, sidx = join_with_index(f.source, g.source)
-    tgt, tidx = join_with_index(f.target, g.target)
-    assign = [0] * src.size
-    for (i, j), n in sidx.items():
-        assign[n] = tidx[(f(i) if i >= 0 else -1, g(j) if j >= 0 else -1)]
-    return PosetMap(src, tgt, tuple(assign))
-
-
 def join_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
     """The even/odd case split for boundaries of a join of molecules."""
     prod, idx = join_with_index(u, v)
@@ -490,6 +481,13 @@ def cylinder_quotient(p: OgPoset, v: ClosedSubset
     the collapsed representatives and orientations from any product
     covering edge between distinct classes one dimension apart.
     """
+    quot, q, _ = _cylinder_quotient(p, v)
+    return quot, q
+
+
+def _cylinder_quotient(p: OgPoset, v: ClosedSubset) -> tuple[
+        OgPoset, PosetMap, dict[tuple[int, int], int]]:
+    """cylinder_quotient plus the index of the arrow x p product it built."""
     if v.parent != p:
         raise NotClosed("v must be a subset of p")
     if p.closure_mask(v.mask) != v.mask:
@@ -547,7 +545,7 @@ def cylinder_quotient(p: OgPoset, v: ClosedSubset
                     fp[pos[ry]] |= 1 << pos[rx]
     quot = OgPoset(dims, fm, fp)
     q = PosetMap(cyl, quot, tuple(pos[find(x)] for x in range(cyl.size)))
-    return quot, q
+    return quot, q, idx
 
 
 @dataclass(frozen=True)
@@ -561,9 +559,7 @@ class InflateResult:
 def inflate(u: OgPoset) -> InflateResult:
     """The cylinder over u collapsed along the whole boundary: u => u as a
     shape, with its retraction and the two boundary inclusions."""
-    _require_spherical(_require_molecule(u))
-    quot, q = cylinder_quotient(u, u.whole().boundary())
-    _, idx = gray_with_index(_O1, u)
+    quot, q, idx = _inflation(u)
     tau_assign = [0] * quot.size
     for (i, x), n in idx.items():
         tau_assign[q(n)] = x
@@ -573,18 +569,22 @@ def inflate(u: OgPoset) -> InflateResult:
     return InflateResult(quot, tau, iminus, iplus)
 
 
+def _inflation(u: OgPoset
+               ) -> tuple[OgPoset, PosetMap, dict[tuple[int, int], int]]:
+    """The inflation of u as a quotient of its cylinder, with the quotient
+    map and the cylinder's product index."""
+    _require_spherical(_require_molecule(u))
+    return _cylinder_quotient(u, u.whole().boundary())
+
+
 def inflate_map(p: PosetMap) -> PosetMap:
     """Lift a surjection of same-dimensional atoms through the inflation."""
     if p.source.dim != p.target.dim:
         raise ValueError("inflation lifts only same-dimensional surjections")
     if not p.is_surjective:
         raise ValueError("inflation lifts only surjections")
-    src = inflate(p.source)
-    tgt = inflate(p.target)
-    _, sidx = gray_with_index(_O1, p.source)
-    _, tidx = gray_with_index(_O1, p.target)
-    squot, sq = cylinder_quotient(p.source, p.source.whole().boundary())
-    tquot, tq = cylinder_quotient(p.target, p.target.whole().boundary())
+    squot, sq, sidx = _inflation(p.source)
+    tquot, tq, tidx = _inflation(p.target)
     assign = [None] * squot.size
     for (i, x), n in sidx.items():
         a = tq(tidx[(i, p(x))])
@@ -593,7 +593,7 @@ def inflate_map(p: PosetMap) -> PosetMap:
             assign[c] = a
         elif assign[c] != a:
             raise BoundaryMismatch("map does not descend to the quotient")
-    return PosetMap(src.whole, tgt.whole, tuple(assign))
+    return PosetMap(squot, tquot, tuple(assign))
 
 
 def unitor_shape(u: OgPoset, v: ClosedSubset, side: str, sign: int
@@ -619,8 +619,7 @@ def unitor_shape(u: OgPoset, v: ClosedSubset, side: str, sign: int
     if cb is None or find_submolecule(cv, cb) is None:
         raise NotASubmolecule(f"v is not a submolecule of the {side} boundary")
     w = u.whole().boundary() - (v - v.boundary())
-    shape, q = cylinder_quotient(u, w)
-    _, idx = gray_with_index(_O1, u)
+    shape, q, idx = _cylinder_quotient(u, w)
     retr_assign = [0] * shape.size
     for (i, x), n in idx.items():
         retr_assign[q(n)] = x

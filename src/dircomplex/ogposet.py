@@ -45,10 +45,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 class OgPoset:
     """A finite oriented graded poset.
 
@@ -263,7 +259,7 @@ class OgPoset:
         return self.size
 
     def __repr__(self):
-        counts = [bit_count(m) for m in self._dim_masks]
+        counts = [m.bit_count() for m in self._dim_masks]
         return f"OgPoset({self.size} elements, dims {counts})"
 
 
@@ -356,7 +352,7 @@ class ClosedSubset:
         return bool(self.mask >> i & 1)
 
     def __len__(self):
-        return bit_count(self.mask)
+        return self.mask.bit_count()
 
     def __bool__(self):
         return self.mask != 0
@@ -479,15 +475,6 @@ class PosetMap:
                 f"{self.kind})")
 
 
-def validate(records) -> OgPoset:
-    """Check raw element records and return the poset they describe."""
-    return OgPoset.from_records(records)
-
-
-def apply_map(f: PosetMap, subset: ClosedSubset) -> ClosedSubset:
-    return f.image(subset)
-
-
 def factorize(f: PosetMap) -> tuple[PosetMap, PosetMap]:
     """Split a map into a surjection onto its image and an inclusion."""
     image_mask = f.image_mask(f.source.all_mask)
@@ -509,13 +496,15 @@ def find_isomorphism(p: OgPoset, q: OgPoset) -> Optional[PosetMap]:
         return None
 
     def profile(poset, i):
-        return (bit_count(poset.faces_minus[i]), bit_count(poset.faces_plus[i]),
-                bit_count(poset.cofaces_minus[i]), bit_count(poset.cofaces_plus[i]))
+        return (poset.faces_minus[i].bit_count(),
+                poset.faces_plus[i].bit_count(),
+                poset.cofaces_minus[i].bit_count(),
+                poset.cofaces_plus[i].bit_count())
 
     p_prof = [profile(p, i) for i in range(p.size)]
     q_prof = [profile(q, i) for i in range(q.size)]
     for d in range(p.dim + 1):
-        if bit_count(p.dim_mask(d)) != bit_count(q.dim_mask(d)):
+        if p.dim_mask(d).bit_count() != q.dim_mask(d).bit_count():
             return None
         if sorted(p_prof[i] for i in bits(p.dim_mask(d))) != \
            sorted(q_prof[i] for i in bits(q.dim_mask(d))):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ogposet import (
     OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism,
@@ -513,63 +513,32 @@ def last_vertex(n: int) -> tuple[int, ...]:
 
 
 def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
-    """All maps between two desk-scale atoms, in deterministic order.
+    """All maps from the atom u to v, sorted by assignment in (-dim, i) order.
 
-    Every map onto the closure of some target element factors as a
-    surjection followed by that closure's inclusion, so images are scanned
-    one target atom at a time.  The backtracking assigns elements top-down,
-    constraining each image to the boundaries forced by assigned cofaces,
-    and validates candidates with the full boundary-preservation law.
-    """
-    results = []
-    for w in range(v.size):
-        results.extend(_maps_onto(u, v, w))
-    return results
-
-
-def _maps_onto(u: OgPoset, v: OgPoset, w: int) -> Iterator[PosetMap]:
-    target = v.down[w]
-    utop = u.whole().greatest()
-    if utop is None:
+    A map sends cl{x} onto cl{f(x)}, so f on cl{x} - x forces f(x): it is the
+    greatest element of that image or has it as its proper down-set.  Going
+    bottom-up, each element right after the last vertex of its closure, only
+    vertices and parallel cells branch; each leaf is checked in full."""
+    if u.whole().greatest() is None:
         raise ValueError("map enumeration works on atoms")
-    if v.dims[w] > u.dims[utop]:
-        return
-    order = sorted(range(u.size), key=lambda i: (-u.dims[i], i))
-    assign: list[Optional[int]] = [None] * u.size
-
-    bd_u: dict[tuple[int, int, int], int] = {}
-    bd_v: dict[tuple[int, int, int], int] = {}
-
-    def bd_mask(poset, table, el, sign, nn):
-        key = (el, sign, nn)
-        if key not in table:
-            table[key] = ClosedSubset(poset, poset.down[el]).boundary(
-                sign, nn).mask
-        return table[key]
-
-    def candidates(x):
-        cand = target
-        for y in bits(u.cofaces(x)):
-            fy = assign[y]
-            if fy is None:
-                continue
-            cand &= v.down[fy]
-            for s2 in (-1, +1):
-                for nn in range(u.dims[x], u.dims[y]):
-                    if (1 << x) & bd_mask(u, bd_u, y, s2, nn):
-                        cand &= bd_mask(v, bd_v, fy, s2, nn)
-        return [c for c in bits(cand) if v.dims[c] <= u.dims[x]]
+    forced: dict[int, list[int]] = {}  # f(cl{x} - x) -> choices of f(x)
+    for c in range(v.size):
+        forced.setdefault(v.down[c], []).append(c)
+        forced.setdefault(v.down[c] & ~(1 << c), []).append(c)
+    walk = sorted(range(u.size), key=lambda x: (
+        (u.down[x] & u.dim_mask(0)).bit_length(), u.dims[x], x))
+    assign = [0] * u.size
 
     def search(pos):
-        if pos == len(order):
-            f = PosetMap(u, v, tuple(assign))  # type: ignore[arg-type]
-            if f.image_mask(u.all_mask) == target and f.is_valid():
+        if pos == len(walk):
+            f = PosetMap(u, v, tuple(assign))
+            if f.is_valid():
                 yield f
             return
-        x = order[pos]
-        for c in candidates(x):
-            assign[x] = c
+        x = walk[pos]
+        below = v.closure_mask(sum({1 << assign[y] for y in bits(u.faces(x))}))
+        for assign[x] in forced.get(below, ()):
             yield from search(pos + 1)
-            assign[x] = None
 
-    yield from search(0)
+    top_down = sorted(range(u.size), key=lambda x: (-u.dims[x], x))
+    return sorted(search(0), key=lambda f: [f(x) for x in top_down])

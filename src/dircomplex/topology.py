@@ -38,22 +38,16 @@ def nerve(p: Union[OgPoset, ClosedSubset]) -> SimplicialComplex:
         poset, mask = p, p.all_mask
     else:
         poset, mask = p.parent, p.mask
-    elems = sorted(bits(mask))
-    strict_down = {e: poset.down[e] & ~(1 << e) & mask for e in elems}
+    # chains grow upward: each extends by the members strictly above its top
+    strict_up = dict.fromkeys(bits(mask), 0)
+    for e in strict_up:
+        for d in bits(poset.down[e] & ~(1 << e) & mask):
+            strict_up[d] |= 1 << e
     levels: list[list[tuple[int, ...]]] = []
-    current = [(e,) for e in elems]
+    current = [(e,) for e in strict_up]
     while current:
         levels.append(sorted(current))
-        nxt = []
-        for chain in current:
-            for e in elems:
-                if strict_down[e] >> chain[-1] & 1:
-                    nxt.append(chain + (e,))
-        # chains are built upward: extend by elements strictly above the top
-        current = [c for c in nxt]
-        if not current:
-            break
-    # the loop above extends by "e strictly above chain[-1]"
+        current = [c + (e,) for c in current for e in bits(strict_up[c[-1]])]
     return SimplicialComplex(tuple(tuple(lv) for lv in levels))
 
 
@@ -160,10 +154,6 @@ def _snf_core(a, check: bool) -> list[int]:
     return diag
 
 
-def smith_invariants(mat: np.ndarray) -> list[int]:
-    return _snf_invariants(mat)
-
-
 def _collapsed_matrices(k: SimplicialComplex
                         ) -> tuple[list[int], list[np.ndarray]]:
     """Free-pair collapse, then dense boundary matrices of what is left.
@@ -240,7 +230,7 @@ def homology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:
     assert ChainComplex(mats).check_dd_zero(), \
         "boundary of a boundary must vanish"
     out = []
-    inv = [smith_invariants(m) for m in mats]
+    inv = [_snf_invariants(m) for m in mats]
     for d in range(len(counts)):
         rank_d = len(inv[d])
         rank_up = len(inv[d + 1]) if d + 1 < len(counts) else 0

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from dircomplex import (
-    OgPoset, ClosedSubset, PosetMap, find_isomorphism, validate,
+    OgPoset, ClosedSubset, PosetMap, find_isomorphism,
     is_molecule, is_atom, has_spherical_boundary, is_regular_complex,
     is_totally_loop_free, composable, enumerate_molecules,
     paste, paste_along, substitute, celto, inflate, unitor_shape,
@@ -246,8 +246,8 @@ def _monotone_count(n, m):
 
 def test_criterion_09_delta_fullness():
     with Budget(9, "simplex map fullness", 120.0):
-        for n in range(4):
-            for m in range(4):
+        for n in range(5):
+            for m in range(5):
                 maps = enumerate_maps(simplex(n), simplex(m))
                 oracle = _monotone_count(n, m)
                 assert oracle == math.comb(n + m + 1, n + 1)
@@ -333,7 +333,7 @@ def test_criterion_12_loop_freeness():
             assert is_totally_loop_free(globe(n))
             assert is_totally_loop_free(simplex(n))
             assert is_totally_loop_free(cube(n) if n <= 4 else cube(4))
-        cyc = validate([
+        cyc = OgPoset.from_records([
             {"dim": 0, "minus": [], "plus": []},
             {"dim": 0, "minus": [], "plus": []},
             {"dim": 1, "minus": [0], "plus": [1]},

@@ -1,7 +1,7 @@
 import pytest
 
 from dircomplex import (
-    OgPoset, ClosedSubset, validate,
+    OgPoset, ClosedSubset,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule, NotAMolecule,
     paste, globe, simplex, cube, phi,
@@ -26,8 +26,8 @@ def test_path_is_a_paste_of_two_atoms():
 
 
 def test_two_disjoint_points_are_not_a_molecule():
-    p = validate([{"dim": 0, "minus": [], "plus": []},
-                  {"dim": 0, "minus": [], "plus": []}])
+    p = OgPoset.from_records([{"dim": 0, "minus": [], "plus": []},
+                              {"dim": 0, "minus": [], "plus": []}])
     assert is_molecule(p.whole()) is None
     assert is_molecule(ClosedSubset(p, 0)) is None
 
@@ -117,8 +117,8 @@ def test_regular_families():
 
 def test_not_regular_when_an_input_face_set_is_empty():
     # a 1-cell with only an output vertex: its input boundary is empty
-    p = validate([{"dim": 0, "minus": [], "plus": []},
-                  {"dim": 1, "minus": [], "plus": [0]}])
+    p = OgPoset.from_records([{"dim": 0, "minus": [], "plus": []},
+                              {"dim": 1, "minus": [], "plus": [0]}])
     assert not is_regular_complex(p)
 
 
@@ -126,7 +126,7 @@ def test_loop_freeness():
     for n in range(5):
         assert is_totally_loop_free(globe(n))
     assert is_totally_loop_free(simplex(3))
-    cyc = validate([
+    cyc = OgPoset.from_records([
         {"dim": 0, "minus": [], "plus": []},
         {"dim": 0, "minus": [], "plus": []},
         {"dim": 1, "minus": [0], "plus": [1]},

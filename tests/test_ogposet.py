@@ -3,7 +3,7 @@ import pytest
 from dircomplex import (
     OgPoset, PosetMap, ClosedSubset,
     FaceDimMismatch, OrientationClash, NotGraded, IndexOutOfRange,
-    validate, apply_map, factorize, find_isomorphism,
+    factorize, find_isomorphism,
     globe, simplex, globe_element, simplex_index, globe_tau,
     folding_a,
 )
@@ -11,9 +11,9 @@ from dircomplex.ogposet import bits
 
 
 def test_validate_empty_and_point():
-    assert validate([]).size == 0
-    assert validate([]).dim == -1
-    pt = validate([{"dim": 0, "minus": [], "plus": []}])
+    assert OgPoset.from_records([]).size == 0
+    assert OgPoset.from_records([]).dim == -1
+    pt = OgPoset.from_records([{"dim": 0, "minus": [], "plus": []}])
     assert pt.size == 1 and pt.dim == 0
 
 
@@ -21,21 +21,21 @@ def test_validate_face_dim_mismatch():
     recs = [{"dim": 1, "minus": [1], "plus": []},
             {"dim": 1, "minus": [], "plus": []}]
     with pytest.raises((FaceDimMismatch, NotGraded)):
-        validate(recs)
+        OgPoset.from_records(recs)
 
 
 def test_validate_orientation_clash():
     recs = [{"dim": 0, "minus": [], "plus": []},
             {"dim": 1, "minus": [0], "plus": [0]}]
     with pytest.raises(OrientationClash):
-        validate(recs)
+        OgPoset.from_records(recs)
 
 
 def test_validate_not_graded():
     recs = [{"dim": 0, "minus": [], "plus": []},
             {"dim": 2, "minus": [], "plus": []}]
     with pytest.raises(NotGraded):
-        validate(recs)
+        OgPoset.from_records(recs)
 
 
 def test_validate_reorders_by_dimension():
@@ -43,7 +43,7 @@ def test_validate_reorders_by_dimension():
     recs = [{"dim": 1, "minus": [1], "plus": [2]},
             {"dim": 0, "minus": [], "plus": []},
             {"dim": 0, "minus": [], "plus": []}]
-    p = validate(recs)
+    p = OgPoset.from_records(recs)
     assert p == globe(1)
 
 
@@ -125,7 +125,7 @@ def test_is_pure():
             {"dim": 0, "minus": [], "plus": []},
             {"dim": 0, "minus": [], "plus": []},
             {"dim": 1, "minus": [0], "plus": [1]}]
-    p = validate(recs)
+    p = OgPoset.from_records(recs)
     assert not p.whole().is_pure
     assert o1.whole().is_pure
     assert ClosedSubset(o1, 0).is_pure  # vacuous
@@ -134,11 +134,11 @@ def test_is_pure():
 def test_apply_map():
     o1 = globe(1)
     tau = globe_tau(1, 0)
-    assert apply_map(PosetMap.identity(o1), o1.whole()).mask == o1.all_mask
-    assert sorted(apply_map(tau, o1.whole()).elements()) == [0]
+    assert PosetMap.identity(o1).image(o1.whole()).mask == o1.all_mask
+    assert sorted(tau.image(o1.whole()).elements()) == [0]
     a2 = folding_a(2)
     d2 = simplex(2)
-    img = apply_map(a2, d2.closure([simplex_index((1, 0, 1))]))
+    img = a2.image(d2.closure([simplex_index((1, 0, 1))]))
     assert img.mask == globe(2).closure([globe_element(2, 1, -1)]).mask
 
 

@@ -331,6 +331,50 @@ def test_enumerate_maps_to_points():
     assert len(maps) == 3  # one per vertex
 
 
+def _brute_force_maps(u, v):
+    """Every dimension-non-increasing function that is a map, in the
+    lexicographic order of its assignment read top-down by (-dim, index)."""
+    order = sorted(range(u.size), key=lambda x: (-u.dims[x], x))
+    choices = [[c for c in range(v.size) if v.dims[c] <= u.dims[x]]
+               for x in order]
+    found = []
+    for images in itertools.product(*choices):
+        assign = [0] * u.size
+        for x, c in zip(order, images):
+            assign[x] = c
+        if PosetMap(u, v, tuple(assign)).is_valid():
+            found.append(tuple(assign))
+    return found
+
+
+@pytest.mark.parametrize("u, v", [
+    (simplex(1), simplex(1)), (simplex(2), simplex(1)),
+    (globe(2), simplex(2)), (simplex(2), globe(2)), (POINT, simplex(2)),
+], ids=["s1-s1", "s2-s1", "g2-s2", "s2-g2", "pt-s2"])
+def test_enumerate_maps_matches_brute_force(u, v):
+    assert [f.assignment for f in enumerate_maps(u, v)] \
+        == _brute_force_maps(u, v)
+
+
+def test_enumerate_maps_counts_with_parallel_cells():
+    # targets and sources with parallel cells, where images are not forced
+    # by the vertices alone
+    cases = [
+        (simplex(3), globe(3), 32),
+        (simplex(3), phi(3).whole, 38),
+        (gray(globe(2), globe(1)), simplex(3), 36),
+        (join(globe(1), globe(1)), simplex(3), 35),
+        (cube(2), cube(2), 21),
+    ]
+    for u, v, count in cases:
+        assert len(enumerate_maps(u, v)) == count
+
+
+def test_enumerate_maps_needs_an_atom_source():
+    with pytest.raises(ValueError):
+        enumerate_maps(globe(1).whole().boundary().extract()[0], simplex(1))
+
+
 def test_nerve_of_simplex_is_barycentric_subdivision():
     from dircomplex.topology import nerve
     for n in range(4):

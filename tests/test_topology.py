@@ -1,10 +1,10 @@
 from dircomplex import (
-    OgPoset, ClosedSubset, validate,
+    OgPoset, ClosedSubset,
     nerve, nerve_map, homology, euler, face_poset_roundtrip,
     globe, simplex, cube, globe_tau,
 )
 from dircomplex.topology import (
-    chain_complex, smith_invariants, sphere_signature, ball_signature,
+    chain_complex, _snf_invariants, sphere_signature, ball_signature,
     _matches,
 )
 import numpy as np
@@ -37,12 +37,12 @@ def test_chain_complex_dd_zero():
 
 
 def test_smith_invariants_known_matrices():
-    assert smith_invariants(np.array([[2, 4], [4, 8]], dtype=np.int64)) == [2]
-    assert smith_invariants(np.array([[2, 0], [0, 3]], dtype=np.int64)) \
+    assert _snf_invariants(np.array([[2, 4], [4, 8]], dtype=np.int64)) == [2]
+    assert _snf_invariants(np.array([[2, 0], [0, 3]], dtype=np.int64)) \
         == [1, 6]
-    assert smith_invariants(np.zeros((3, 3), dtype=np.int64)) == []
+    assert _snf_invariants(np.zeros((3, 3), dtype=np.int64)) == []
     # projective-plane style torsion: Z/2 from a doubled boundary
-    assert smith_invariants(np.array([[2]], dtype=np.int64)) == [2]
+    assert _snf_invariants(np.array([[2]], dtype=np.int64)) == [2]
 
 
 def test_smith_overflow_escalates():
@@ -102,7 +102,7 @@ def test_face_poset_roundtrip_families():
 
 def test_face_poset_roundtrip_detects_broken_atom():
     # a 2-cell with a single edge for a boundary: its "sphere" is an interval
-    p = validate([
+    p = OgPoset.from_records([
         {"dim": 0, "minus": [], "plus": []},
         {"dim": 0, "minus": [], "plus": []},
         {"dim": 1, "minus": [0], "plus": [1]},
