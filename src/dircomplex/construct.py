@@ -341,53 +341,28 @@ def gray_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
     return lhs == rhs
 
 
+def _with_bottom(p: OgPoset) -> OgPoset:
+    """p with a least element at index 0 and every dimension one higher;
+    each vertex gets the bottom as its + face."""
+    return OgPoset([0] + [d + 1 for d in p.dims],
+                   [0] + [m << 1 for m in p.faces_minus],
+                   [0] + [(m << 1) | int(d == 0)
+                          for d, m in zip(p.dims, p.faces_plus)])
+
+
 def join_with_index(p: OgPoset, q: OgPoset
                     ) -> tuple[OgPoset, dict[tuple[int, int], int]]:
     """Join plus the pair index; -1 stands for the absent factor.
 
-    Derived from the Gray product of the two posets with a least element
-    adjoined: the bottom gets orientation + under every vertex, and the
-    first factor's dimension shifts by one in the sign rule.
+    The join is the Gray product of the two posets with a least element
+    adjoined, less its least element (bottom, bottom), with dimensions
+    shifted back down by one.
     """
-    pairs = [(i, j) for i in [-1] + list(range(p.size))
-             for j in [-1] + list(range(q.size))if (i, j) != (-1, -1)]
-
-    def pdim(i):
-        return p.dims[i] if i >= 0 else -1
-
-    def qdim(j):
-        return q.dims[j] if j >= 0 else -1
-
-    pairs.sort(key=lambda t: (pdim(t[0]) + qdim(t[1]) + 1, t[0], t[1]))
-    idx = {t: n for n, t in enumerate(pairs)}
-    dims, fm, fp = [], [], []
-    for (i, j) in pairs:
-        dims.append(pdim(i) + qdim(j) + 1)
-        m = pl = 0
-        if i >= 0:
-            for i2 in bits(p.faces_minus[i]):
-                m |= 1 << idx[(i2, j)]
-            for i2 in bits(p.faces_plus[i]):
-                pl |= 1 << idx[(i2, j)]
-            if p.dims[i] == 0 and j >= 0:
-                pl |= 1 << idx[(-1, j)]
-        if j >= 0:
-            flip = (pdim(i) + 1) % 2 == 1
-            qm, qp = q.faces_minus[j], q.faces_plus[j]
-            if flip:
-                qm, qp = qp, qm
-            for j2 in bits(qm):
-                m |= 1 << idx[(i, j2)]
-            for j2 in bits(qp):
-                pl |= 1 << idx[(i, j2)]
-            if q.dims[j] == 0 and i >= 0:
-                if flip:
-                    m |= 1 << idx[(i, -1)]
-                else:
-                    pl |= 1 << idx[(i, -1)]
-        fm.append(m)
-        fp.append(pl)
-    return OgPoset(dims, fm, fp), idx
+    prod, idx = gray_with_index(_with_bottom(p), _with_bottom(q))
+    joined = OgPoset([d - 1 for d in prod.dims[1:]],
+                     [m >> 1 for m in prod.faces_minus[1:]],
+                     [m >> 1 for m in prod.faces_plus[1:]])
+    return joined, {(i - 1, j - 1): n - 1 for (i, j), n in idx.items() if n}
 
 
 def join(p: OgPoset, q: OgPoset) -> OgPoset:

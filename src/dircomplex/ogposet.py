@@ -113,14 +113,11 @@ class OgPoset:
         # Gradedness: the longest-chain height of every element must agree
         # with its stored dimension.  Faces drop dimension by exactly one,
         # so this reduces to "no face-less element above dimension 0".
-        height = [0] * n
         for i in range(n):
-            f = self.faces_minus[i] | self.faces_plus[i]
-            height[i] = 1 + max((height[j] for j in bits(f)), default=-1)
-            if height[i] != self.dims[i]:
+            if self.dims[i] and not (self.faces_minus[i] | self.faces_plus[i]):
                 raise NotGraded(
                     f"element {i}: stored dim {self.dims[i]} but longest "
-                    f"chain has length {height[i]}")
+                    f"chain has length 0")
 
         self._hash = None
         self._mol_memo = {}
@@ -140,10 +137,26 @@ class OgPoset:
         rows = []
         for i, rec in enumerate(records):
             if isinstance(rec, dict):
-                rows.append((rec["dim"], rec["minus"], rec["plus"]))
+                missing = {"dim", "minus", "plus"} - rec.keys()
+                if missing:
+                    raise InvalidStructure(
+                        f"record {i} lacks {', '.join(sorted(missing))}")
+                row = (rec["dim"], rec["minus"], rec["plus"])
+            elif isinstance(rec, (list, tuple)) and len(rec) == 3:
+                row = tuple(rec)
             else:
-                d, m, p = rec
-                rows.append((d, m, p))
+                raise InvalidStructure(
+                    f"record {i} is neither a mapping nor a triple")
+            d, m, p = row
+            if type(d) is not int or d < 0:
+                raise InvalidStructure(
+                    f"record {i}: dim must be a non-negative integer")
+            for faces in (m, p):
+                if not (isinstance(faces, (list, tuple))
+                        and all(type(f) is int for f in faces)):
+                    raise InvalidStructure(
+                        f"record {i}: faces must be a list of integers")
+            rows.append(row)
         n = len(rows)
         order = sorted(range(n), key=lambda i: rows[i][0])
         newpos = [0] * n
@@ -182,8 +195,9 @@ class OgPoset:
     @classmethod
     def from_json(cls, text: str) -> "OgPoset":
         obj = json.loads(text)
-        if not isinstance(obj, dict) or "elements" not in obj:
-            raise InvalidStructure("expected an object with an 'elements' key")
+        if not isinstance(obj, dict) or not isinstance(obj.get("elements"),
+                                                       list):
+            raise InvalidStructure("expected an object with an 'elements' list")
         return cls.from_records(obj["elements"])
 
     # -- basic structure -------------------------------------------------

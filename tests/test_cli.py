@@ -76,6 +76,25 @@ def test_op_invalid_input_fails(tmp_path, capsys):
     assert code == 1
 
 
+_POINT = {"dim": 0, "minus": [], "plus": []}
+
+
+@pytest.mark.parametrize("elements", [
+    [0, 1],                                                  # bare integers
+    [{"dim": 0, "plus": []}],                                # minus missing
+    [_POINT, _POINT, {"dim": "1", "minus": [0], "plus": [1]}],  # string dim
+    [_POINT, {"dim": 1, "minus": "0", "plus": []}],          # faces not a list
+    5,                                                       # no record list
+], ids=["not-a-record", "missing-key", "string-dim", "faces-not-ints",
+        "elements-not-a-list"])
+def test_check_refuses_malformed_records(tmp_path, capsys, elements):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"elements": elements}))
+    code, _, err = invoke(capsys, "check", "molecule", str(f))
+    assert code == 1
+    assert err.startswith("invalid: ") and "Traceback" not in err
+
+
 def test_map_verbs(capsys):
     code, out, _ = invoke(capsys, "map", "a", "2")
     assert code == 0

@@ -34,7 +34,7 @@ def test_validate_orientation_clash():
 def test_validate_not_graded():
     recs = [{"dim": 0, "minus": [], "plus": []},
             {"dim": 2, "minus": [], "plus": []}]
-    with pytest.raises(NotGraded):
+    with pytest.raises(NotGraded, match="longest chain has length 0"):
         OgPoset.from_records(recs)
 
 

@@ -4,9 +4,11 @@ from dircomplex import (
     globe, simplex, cube, globe_tau,
 )
 from dircomplex.topology import (
-    chain_complex, _snf_invariants, sphere_signature, ball_signature,
-    _matches,
+    ChainComplex, SimplicialComplex, chain_complex, _snf_invariants,
+    sphere_signature, ball_signature, _matches,
 )
+from hypothesis import given, settings, strategies as st
+import itertools
 import numpy as np
 
 POINT = OgPoset.point()
@@ -31,9 +33,20 @@ def test_nerve_of_empty():
 
 def test_chain_complex_dd_zero():
     cc = chain_complex(nerve(simplex(2)))
+    assert cc.counts == [7, 12, 6]
+    assert all(len(c) == d + 1 if d else not c
+               for d, level in enumerate(cc.columns) for c in level)
     assert cc.check_dd_zero()
     cc = chain_complex(nerve(cube(2)))
     assert cc.check_dd_zero()
+
+
+def test_check_dd_zero_detects_nonzero_composite():
+    # an edge whose boundary is a vertex, and a 2-cell whose boundary is
+    # that edge: d1 d2 = 1 != 0
+    cc = ChainComplex([1, 1, 1], [[{}], [{0: 1}], [{0: 1}]])
+    assert not cc.check_dd_zero()
+    assert ChainComplex([1, 1, 1], [[{}], [{0: 1}], [{}]]).check_dd_zero()
 
 
 def test_smith_invariants_known_matrices():
@@ -58,25 +71,69 @@ def test_homology_point_ball_spheres():
     assert homology(nerve(globe(3).whole().boundary())) == \
         [(1, []), (0, []), (1, [])]
     assert homology(nerve(simplex(3))) == [(1, []), (0, []), (0, []), (0, [])]
+    assert _matches(homology(nerve(cube(4).whole().boundary())),
+                    sphere_signature(3))
+    assert _matches(homology(nerve(simplex(5).whole().boundary())),
+                    sphere_signature(4))
+
+
+RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
+
+def _closed_complex(facets) -> SimplicialComplex:
+    """The simplicial complex generated by ``facets`` (vertex tuples)."""
+    simplices = set()
+    for f in facets:
+        f = tuple(sorted(set(f)))
+        for r in range(1, len(f) + 1):
+            simplices.update(itertools.combinations(f, r))
+    top = max((len(s) for s in simplices), default=0)
+    return SimplicialComplex(tuple(
+        tuple(sorted(s for s in simplices if len(s) == d + 1))
+        for d in range(top)))
+
+
+def _dense_homology(k: SimplicialComplex):
+    """Reference: dense boundary matrices, each put in Smith normal form."""
+    counts = k.counts()
+    inv = []
+    for d, level in enumerate(k.simplices):
+        m = np.zeros((counts[d - 1] if d else 0, len(level)), dtype=np.int64)
+        if d:
+            index = {c: i for i, c in enumerate(k.simplices[d - 1])}
+            for j, c in enumerate(level):
+                for i in range(len(c)):
+                    m[index[c[:i] + c[i + 1:]], j] += (-1) ** i
+        inv.append(_snf_invariants(m))
+    inv.append([])
+    return [(n - len(inv[d]) - len(inv[d + 1]),
+             sorted(x for x in inv[d + 1] if x > 1))
+            for d, n in enumerate(counts)]
 
 
 def test_torsion_detected_on_projective_plane():
     # minimal triangulation of the real projective plane
-    tris = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-            (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    simplices = [set(), set(), set()]
-    for t in tris:
-        simplices[2].add(t)
-        for i in range(3):
-            simplices[1].add(t[:i] + t[i + 1:])
-        for v in t:
-            simplices[0].add((v,))
-    from dircomplex.topology import SimplicialComplex
-    k = SimplicialComplex(tuple(tuple(sorted(s)) for s in simplices))
-    h = homology(k)
+    h = homology(_closed_complex(RP2_TRIANGLES))
     assert h[0] == (1, [])
     assert h[1] == (0, [2])
     assert h[2] == (0, [])
+
+
+_facet = st.lists(st.integers(0, 8), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(copies=st.integers(0, 2),
+       relabel=st.permutations(range(12)),
+       extra=st.lists(_facet, max_size=8))
+def test_homology_matches_dense_reference(copies, relabel, extra):
+    # disjoint relabelled copies of RP^2 carry torsion; extra facets may
+    # glue onto them, kill it or add free homology
+    facets = [tuple(relabel[6 * c + v] for v in t)
+              for c in range(copies) for t in RP2_TRIANGLES] + extra
+    k = _closed_complex(facets)
+    assert homology(k) == _dense_homology(k)
 
 
 def test_euler():
