@@ -23,8 +23,10 @@ from .corpus import gen_corpus
 
 
 def _read_complex(path: str) -> OgPoset:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return OgPoset.from_json(text)
+    if path == "-":
+        return OgPoset.from_json(sys.stdin.read())
+    with open(path) as f:
+        return OgPoset.from_json(f.read())
 
 
 def _subset(p: OgPoset, selector: str | None) -> ClosedSubset:
@@ -278,10 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once: building takes far longer than parsing one request
+_PARSER = build_parser()
+
+
 def run(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

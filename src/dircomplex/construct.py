@@ -52,91 +52,44 @@ def _require_spherical(cert: MoleculeCert) -> MoleculeCert:
     return cert
 
 
-def amalgamate(parts: list[OgPoset],
-               joins: list[tuple[int, list[int], int, list[int]]]
-               ) -> tuple[OgPoset, list[PosetMap]]:
-    """Pushout of inclusions: glue ``parts`` along element identifications.
+def amalgamate(u: OgPoset, v: OgPoset, pairing: dict[int, int]
+               ) -> tuple[OgPoset, PosetMap, PosetMap]:
+    """Pushout of two inclusions: glue v onto u, identifying each element x
+    of u named in ``pairing`` with the element pairing[x] of v.
 
-    Each join is (a, elems_a, b, elems_b): element elems_a[i] of parts[a]
-    is identified with elems_b[i] of parts[b].  Returns the glued poset and
-    the inclusion of every part.
+    The result is numbered by dimension; within one dimension the elements
+    of u come first in index order, then the unglued elements of v in index
+    order.  Returns the glued poset and the inclusions of u and v.
     """
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.size
+    glued = {y: x for x, y in pairing.items()}
+    if len(glued) != len(pairing):
+        raise BoundaryMismatch("two elements are glued onto one")
+    if any(u.dims[x] != v.dims[y] for x, y in pairing.items()):
+        raise BoundaryMismatch("identified elements have different dimensions")
+    order = sorted([(u.dims[x], 0, x) for x in range(u.size)]
+                   + [(v.dims[y], 1, y) for y in range(v.size)
+                      if y not in glued])
+    pos = {(part, i): n for n, (_, part, i) in enumerate(order)}
+    ju = [pos[(0, x)] for x in range(u.size)]
+    jv = [ju[glued[y]] if y in glued else pos[(1, y)] for y in range(v.size)]
 
-    uf = list(range(total))
+    def image(j, mask):
+        return sum(1 << j[i] for i in bits(mask))
 
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            uf[max(rx, ry)] = min(rx, ry)
-
-    for a, ea, b, eb in joins:
-        if len(ea) != len(eb):
-            raise ValueError("identification lists differ in length")
-        for x, y in zip(ea, eb):
-            union(offsets[a] + x, offsets[b] + y)
-
-    def part_of(g):
-        for pi in range(len(parts) - 1, -1, -1):
-            if g >= offsets[pi]:
-                return pi, g - offsets[pi]
-        raise AssertionError
-
-    roots = sorted({find(g) for g in range(total)})
-    members: dict[int, list[int]] = {r: [] for r in roots}
-    for g in range(total):
-        members[find(g)].append(g)
-
-    def class_dim(r):
-        pi, i = part_of(members[r][0])
-        return parts[pi].dims[i]
-
-    for r in roots:
-        d0 = class_dim(r)
-        for g in members[r]:
-            pi, i = part_of(g)
-            if parts[pi].dims[i] != d0:
-                raise BoundaryMismatch(
-                    "identified elements have different dimensions")
-
-    order = sorted(roots, key=lambda r: (class_dim(r), members[r][0]))
-    pos = {r: i for i, r in enumerate(order)}
-
-    dims, fm, fp = [], [], []
-    for r in order:
-        dims.append(class_dim(r))
-        m_sets, p_sets = set(), set()
-        first = True
-        for g in members[r]:
-            pi, i = part_of(g)
-            part = parts[pi]
-            ms = {pos[find(offsets[pi] + j)] for j in bits(part.faces_minus[i])}
-            ps = {pos[find(offsets[pi] + j)] for j in bits(part.faces_plus[i])}
-            if first:
-                m_sets, p_sets = ms, ps
-                first = False
-            elif (ms, ps) != (m_sets, p_sets):
-                raise BoundaryMismatch(
-                    "glued elements disagree on their faces")
-        fm.append(sum(1 << j for j in m_sets))
-        fp.append(sum(1 << j for j in p_sets))
-    whole = OgPoset(dims, fm, fp)
-
-    incls = []
-    for pi, part in enumerate(parts):
-        incls.append(PosetMap(part, whole, tuple(
-            pos[find(offsets[pi] + i)] for i in range(part.size))))
-    return whole, incls
+    fm, fp = [], []
+    for _, part, i in order:
+        if part == 0:
+            fm.append(image(ju, u.faces_minus[i]))
+            fp.append(image(ju, u.faces_plus[i]))
+        else:
+            fm.append(image(jv, v.faces_minus[i]))
+            fp.append(image(jv, v.faces_plus[i]))
+    for y, x in glued.items():
+        if (image(jv, v.faces_minus[y]), image(jv, v.faces_plus[y])) != (
+                fm[ju[x]], fp[ju[x]]):
+            raise BoundaryMismatch("glued elements disagree on their faces")
+    whole = OgPoset([d for d, _, _ in order], fm, fp)
+    return whole, PosetMap(u, whole, tuple(ju)), PosetMap(v, whole, tuple(jv))
 
 
 @dataclass(frozen=True)
@@ -157,16 +110,25 @@ def _boundary_iso(a: ClosedSubset, b: ClosedSubset) -> dict[int, int]:
     return {ia.assignment[i]: ib.assignment[iso(i)] for i in range(pa.size)}
 
 
+def _boundary_pairing(a: ClosedSubset, b: ClosedSubset) -> dict[int, int]:
+    """The input and the output boundary isomorphisms of a onto b, which
+    must agree where the two boundaries meet."""
+    pairing: dict[int, int] = {}
+    for sign in (-1, +1):
+        for x, y in _boundary_iso(a.boundary(sign), b.boundary(sign)).items():
+            if pairing.setdefault(x, y) != y:
+                raise BoundaryMismatch(
+                    "input/output boundary isomorphisms disagree")
+    return pairing
+
+
 def paste(u: OgPoset, v: OgPoset, k: int) -> PastingResult:
     """Glue v after u along bd+_k(u) = bd-_k(v)."""
     _require_molecule(u)
     _require_molecule(v)
     bu = u.whole().boundary(+1, k)
     bv = v.whole().boundary(-1, k)
-    pairing = _boundary_iso(bu, bv)
-    ea = sorted(pairing)
-    eb = [pairing[x] for x in ea]
-    whole, (ju, jv) = amalgamate([u, v], [(0, ea, 1, eb)])
+    whole, ju, jv = amalgamate(u, v, _boundary_iso(bu, bv))
     return PastingResult(whole, ju, jv, k)
 
 
@@ -189,10 +151,7 @@ def paste_along(u1: OgPoset, u2: OgPoset, v: ClosedSubset, sign: int
     if cb is None or find_submolecule(cv, cb) is None:
         raise NotASubmolecule("v is not a submolecule of the boundary")
     bu1 = u1.whole().boundary(-sign)
-    pairing = _boundary_iso(bu1, v)
-    ea = sorted(pairing)
-    eb = [pairing[x] for x in ea]
-    whole, (j1, j2) = amalgamate([u1, u2], [(0, ea, 1, eb)])
+    whole, j1, j2 = amalgamate(u1, u2, _boundary_iso(bu1, v))
     return PastingResult(whole, j1, j2, u1.dim - 1)
 
 
@@ -219,14 +178,7 @@ def substitute(u: OgPoset, v: ClosedSubset, w: OgPoset) -> SubstitutionResult:
     if find_submolecule(cv, cu) is None:
         raise NotASubmolecule("v is not a submolecule of u")
 
-    wv = w.whole()
-    pairing: dict[int, int] = {}
-    for sign in (-1, +1):
-        for x, y in _boundary_iso(v.boundary(sign), wv.boundary(sign)).items():
-            if pairing.setdefault(x, y) != y:
-                raise BoundaryMismatch(
-                    "input/output boundary isomorphisms disagree")
-
+    pairing = _boundary_pairing(v, w.whole())
     interior = v.mask & ~v.boundary().mask
     kept_mask = u.all_mask & ~interior
     if u.closure_mask(kept_mask) != kept_mask:
@@ -234,9 +186,8 @@ def substitute(u: OgPoset, v: ClosedSubset, w: OgPoset) -> SubstitutionResult:
     kept_sub = ClosedSubset(u, kept_mask)
     kpos, kincl = kept_sub.extract()
     back = {e: i for i, e in enumerate(kincl.assignment)}
-    ea = sorted(back[x] for x in pairing)
-    eb = [pairing[kincl.assignment[i]] for i in ea]
-    whole, (jk, jw) = amalgamate([kpos, w], [(0, ea, 1, eb)])
+    whole, jk, jw = amalgamate(
+        kpos, w, {back[x]: y for x, y in pairing.items()})
     kept = {kincl.assignment[i]: jk.assignment[i] for i in range(kpos.size)}
     return SubstitutionResult(whole, kept, jw)
 
@@ -251,30 +202,15 @@ class CeltoResult:
 
 def celto(u: OgPoset, v: OgPoset) -> CeltoResult:
     """The atom u => v: glue u and v along their boundaries, add a top cell."""
-    cu = _require_spherical(_require_molecule(u))
-    cv = _require_spherical(_require_molecule(v))
+    _require_spherical(_require_molecule(u))
+    _require_spherical(_require_molecule(v))
     if u.dim != v.dim:
         raise BoundaryMismatch("celto requires equal dimensions")
     n = u.dim
-    uw, vw = u.whole(), v.whole()
-    pairing: dict[int, int] = {}
-    for sign in (-1, +1):
-        for x, y in _boundary_iso(uw.boundary(sign), vw.boundary(sign)).items():
-            if pairing.setdefault(x, y) != y:
-                raise BoundaryMismatch(
-                    "input/output boundary isomorphisms disagree")
-    ea = sorted(pairing)
-    eb = [pairing[x] for x in ea]
-    glued, (ju, jv) = amalgamate([u, v], [(0, ea, 1, eb)])
-
-    dims = list(glued.dims) + [n + 1]
-    fm = list(glued.faces_minus)
-    fp = list(glued.faces_plus)
-    top_minus = sum(1 << ju.assignment[i] for i in bits(u.dim_mask(n)))
-    top_plus = sum(1 << jv.assignment[i] for i in bits(v.dim_mask(n)))
-    fm.append(top_minus)
-    fp.append(top_plus)
-    whole = OgPoset(dims, fm, fp)
+    glued, ju, jv = amalgamate(u, v, _boundary_pairing(u.whole(), v.whole()))
+    whole = OgPoset(glued.dims + (n + 1,),
+                    glued.faces_minus + (ju.image_mask(u.dim_mask(n)),),
+                    glued.faces_plus + (jv.image_mask(v.dim_mask(n)),))
     lift = lambda m: PosetMap(m.source, whole, m.assignment)
     return CeltoResult(whole, lift(ju), lift(jv), whole.size - 1)
 
@@ -470,41 +406,32 @@ def _cylinder_quotient(p: OgPoset, v: ClosedSubset) -> tuple[
     cyl, idx = gray_with_index(_O1, p)
 
     # fibres over distinct base elements never overlap, so representatives
-    # can be assigned directly
+    # can be assigned directly; a fibre's least index is its base-copy
+    # vertex side (0, x), of the lowest dimension in the fibre
     rep = list(range(cyl.size))
     collapsed_top = 0
     for x in bits(v.mask):
         a, b, c = idx[(0, x)], idx[(1, x)], idx[(2, x)]
-        r = min(a, b, c)
-        rep[a] = rep[b] = rep[c] = r
+        rep[a] = rep[b] = rep[c] = a
         collapsed_top |= 1 << c
 
-    def find(x):
-        return rep[x]
-
-    roots = sorted({find(x) for x in range(cyl.size)})
-    memb: dict[int, list[int]] = {r: [] for r in roots}
-    for x in range(cyl.size):
-        memb[find(x)].append(x)
-
-    def class_dim(r):
-        return min(cyl.dims[x] for x in memb[r])
-
-    order = sorted(roots, key=lambda r: (class_dim(r), r))
+    # product indices ascend by dimension, so the kept representatives in
+    # index order are the classes in (dimension, representative) order
+    order = [x for x in range(cyl.size) if rep[x] == x]
     pos = {r: i for i, r in enumerate(order)}
-    dims = [class_dim(r) for r in order]
+    dims = [cyl.dims[r] for r in order]
 
     fm = [0] * len(order)
     fp = [0] * len(order)
     sign_seen: dict[tuple[int, int], int] = {}
     for y in range(cyl.size):
-        ry = find(y)
+        ry = rep[y]
         for sgn, faces in ((-1, cyl.faces_minus[y]), (+1, cyl.faces_plus[y])):
             for x in bits(faces):
-                rx = find(x)
+                rx = rep[x]
                 if rx == ry:
                     continue
-                if class_dim(ry) != class_dim(rx) + 1:
+                if cyl.dims[ry] != cyl.dims[rx] + 1:
                     continue  # implied by shorter edges after collapse
                 if (collapsed_top >> y & 1) and (collapsed_top >> x & 1):
                     # edge between the top copies of two collapsed fibres:
@@ -519,7 +446,7 @@ def _cylinder_quotient(p: OgPoset, v: ClosedSubset) -> tuple[
                 else:
                     fp[pos[ry]] |= 1 << pos[rx]
     quot = OgPoset(dims, fm, fp)
-    q = PosetMap(cyl, quot, tuple(pos[find(x)] for x in range(cyl.size)))
+    q = PosetMap(cyl, quot, tuple(pos[rep[x]] for x in range(cyl.size)))
     return quot, q, idx
 
 

@@ -376,7 +376,6 @@ def find_submolecule(v: MoleculeCert, u: MoleculeCert
         key = (target, cur.mask)
         if key in memo:
             return memo[key]
-        memo[key] = None  # cut cycles
         result = None
         for left, right, k in iter_splits(cur):
             if is_molecule(left) is None or is_molecule(right) is None:

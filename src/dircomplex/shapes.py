@@ -17,8 +17,8 @@ from .ogposet import (
     OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism,
 )
 from .construct import (
-    BoundaryMismatch, paste, paste_along, substitute, celto, gray,
-    inflate, inflate_map,
+    BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
+    gray, inflate, inflate_map, _boundary_pairing,
 )
 
 
@@ -334,11 +334,9 @@ def compositor_c(n: int, k: int) -> CompositorResult:
     iso = find_isomorphism(pair_m.whole, bd_sub)
     if iso is None:
         raise BoundaryMismatch("compositor boundary mismatch")
-    from .construct import amalgamate
-    ea = [bd_incl(iso(x)) for x in range(pair_m.whole.size)]
-    eb = [inf.iota_minus(prev.incl(x)) for x in range(pair_m.whole.size)]
-    whole, (j_pair, j_inf) = amalgamate(
-        [pair_n.whole, inf.whole], [(0, ea, 1, eb)])
+    whole, j_pair, j_inf = amalgamate(pair_n.whole, inf.whole, {
+        bd_incl(iso(x)): inf.iota_minus(prev.incl(x))
+        for x in range(pair_m.whole.size)})
     retr_assign: list[Optional[int]] = [None] * whole.size
     for x in range(pair_n.whole.size):
         retr_assign[j_pair(x)] = x
@@ -459,17 +457,7 @@ def extrtil(k: int, n: int) -> ExtrTilResult:
     v = e.j_incl.image(tower.whole())
     sub = substitute(e.whole, v, t.whole)
 
-    bmap: dict[int, int] = {}
-    for sign in (-1, +1):
-        bt, bti = tower.whole().boundary(sign).extract()
-        bw, bwi = t.whole.whole().boundary(sign).extract()
-        iso = find_isomorphism(bt, bw)
-        assert iso is not None
-        for i in range(bt.size):
-            x, y = bti(i), bwi(iso(i))
-            if bmap.setdefault(x, y) != y:
-                raise BoundaryMismatch("tower boundary isos disagree")
-
+    bmap = _boundary_pairing(tower.whole(), t.whole.whole())
     assign: list[Optional[int]] = [None] * sub.whole.size
     for w_i in range(t.whole.size):
         assign[sub.w_incl(w_i)] = w_i

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dircomplex import (
@@ -8,9 +10,9 @@ from dircomplex import (
     suspend, dual, op, co, op_all,
     cylinder_quotient, inflate, inflate_map, unitor_shape, reverse_map,
     BoundaryMismatch, NotASubmolecule, NotSpherical, NotClosed,
-    globe, simplex, cube, globe_element,
+    globe, simplex, cube, globe_element, compositor_c, extrtil, phi,
 )
-from dircomplex.construct import gray_with_index, suspend_map
+from dircomplex.construct import amalgamate, gray_with_index, suspend_map
 from dircomplex.ogposet import bits
 
 POINT = OgPoset.point()
@@ -54,6 +56,55 @@ def test_paste_deterministic():
     a = paste(globe(2), globe(2), 1).whole
     b = paste(globe(2), globe(2), 1).whole
     assert a.to_json() == b.to_json()
+
+
+# -- gluing ----------------------------------------------------------------
+# globe(1): 0 source vertex, 1 target vertex, 2 edge
+
+
+def test_amalgamate_refuses_dimension_mismatch():
+    with pytest.raises(BoundaryMismatch, match="different dimensions"):
+        amalgamate(globe(1), globe(1), {0: 2})
+
+
+def test_amalgamate_refuses_face_disagreement():
+    # the edges are glued but their vertices are not
+    with pytest.raises(BoundaryMismatch, match="disagree on their faces"):
+        amalgamate(globe(1), globe(1), {2: 2})
+
+
+def test_amalgamate_refuses_two_elements_onto_one():
+    with pytest.raises(BoundaryMismatch, match="two elements"):
+        amalgamate(globe(1), globe(1), {0: 0, 1: 0})
+
+
+def test_amalgamate_numbering():
+    # by dimension; the left part first, then the unglued right elements
+    pr = paste(globe(1), globe(1), 0)
+    assert list(pr.whole.dims) == [0, 0, 0, 1, 1]
+    assert pr.left_incl.assignment == (0, 1, 3)
+    assert pr.right_incl.assignment == (1, 2, 4)
+    assert pr.whole.faces_minus == (0, 0, 0, 0b001, 0b010)
+    assert pr.whole.faces_plus == (0, 0, 0, 0b010, 0b100)
+
+
+def test_glued_outputs_pinned():
+    vert2 = paste(globe(2), globe(2), 1).whole
+    cell = next(i for i in range(vert2.size) if vert2.dims[i] == 2)
+    outputs = {
+        "68e84eb35144da57f119ea276242eb9aa10aca8cd58032e4810cd7576dc65118":
+            compositor_c(4, 1).whole,
+        "f8c6e6413f690b423dbcb77b1af03c93a80ae91ddd0318bfef8b6a24f7bd8f92":
+            extrtil(0, 4).whole,
+        "de7346e2724cd30e07feff4e0d88476e6dc1cd129b5cd12d693ba2e9721f9bcb":
+            phi(4).whole,
+        "ebfbd315f3175749348399112b59ba956f7a9794cca002dc9c3dec0bed279cac":
+            celto(globe(2), vert2).whole,
+        "39f475ed5f012f30728dbe5e8dd1a1a70bb71ae3b363b8413664ef3b9b988427":
+            substitute(vert2, vert2.closure([cell]), vert2).whole,
+    }
+    for digest, p in outputs.items():
+        assert hashlib.sha256(p.to_json().encode()).hexdigest() == digest
 
 
 def test_paste_along_whiskering():

@@ -145,6 +145,29 @@ def test_find_submolecule_reflexive_and_generator():
     assert chain is not None and len(chain) == 1
 
 
+def test_find_submolecule_after_interrupted_search(monkeypatch):
+    # a search cut short by an exception must leave nothing in the memo
+    # that hides a real submolecule from later searches on the same poset
+    from dircomplex import molecule
+    pr = paste(globe(2), globe(2), 1)
+    cu = is_molecule(pr.whole.whole())
+    cv = is_molecule(pr.left_incl.image(globe(2).whole()))
+    real = molecule.is_molecule
+    calls = []
+
+    def interrupted(subset):
+        calls.append(subset)
+        if len(calls) == 1:
+            raise RuntimeError("interrupted")
+        return real(subset)
+
+    monkeypatch.setattr(molecule, "is_molecule", interrupted)
+    with pytest.raises(RuntimeError):
+        find_submolecule(cv, cu)
+    monkeypatch.undo()
+    assert find_submolecule(cv, cu) == [(47, 91, "left")]
+
+
 def test_atom_boundary_is_submolecule_of_molecule_boundary():
     # a molecule with a single top atom: a whiskered 2-cell
     p = paste(globe(2), globe(1), 0).whole
