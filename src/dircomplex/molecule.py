@@ -65,11 +65,27 @@ class MoleculeCert:
         return left.verify() and right.verify()
 
     def to_json_obj(self) -> dict:
-        if isinstance(self.tree, AtomNode):
-            return {"atom": self.tree.top}
-        return {"k": self.tree.k,
-                "left": self.tree.left.to_json_obj(),
-                "right": self.tree.right.to_json_obj()}
+        """The certificate as nested dicts, one dict per distinct node.
+
+        Recognition hands out one certificate per subset, so a node reached
+        along several paths is built once and shared; ``json.dumps`` writes
+        it out at each place, as it would a copy.
+        """
+        built: dict[int, dict] = {}
+
+        def build(cert: MoleculeCert) -> dict:
+            obj = built.get(id(cert))
+            if obj is None:
+                tree = cert.tree
+                if isinstance(tree, AtomNode):
+                    obj = {"atom": tree.top}
+                else:
+                    obj = {"k": tree.k, "left": build(tree.left),
+                           "right": build(tree.right)}
+                built[id(cert)] = obj
+            return obj
+
+        return build(self)
 
 
 @dataclass(frozen=True)
@@ -98,73 +114,92 @@ def _pair_admissible(p: OgPoset, a: int, b: int, k: int) -> bool:
     dimension at most k, and any dim-k element must be output-only in cl{a}
     and input-only in cl{b}.
     """
-    shared = p.down[a] & p.down[b]
-    if shared & p.mask_above(k):
-        return False
-    for z in bits(shared & p.dim_mask(k)):
-        if p.cofaces_minus[z] & p.down[a]:
-            return False
-        if p.cofaces_plus[z] & p.down[b]:
-            return False
-    return True
+    shared = p.down[a] & p.down[b] & p.mask_above(k - 1)
+    return not shared & ~(p.atom_faces(a, k)[1] & p.atom_faces(b, k)[0])
+
+
+def _closed_codes(forced: list[int]) -> Iterator[int]:
+    """Every code closed under ``forced``, ascending, but 0 and the full code.
+
+    Bit i of a code forces the bits of ``forced[i]``; a code is closed when
+    it holds everything its bits force.  After a transitive closure of the
+    rows, Ganter's NextClosure ("Two basic algorithms in concept analysis",
+    1984) steps from one closed code to the next in ascending order, least
+    significant bit first, with O(t^2) work per step for t bits.
+    """
+    t = len(forced)
+    imp = [m | 1 << i for i, m in enumerate(forced)]
+    for i in range(t):  # Warshall, one bit row at a time
+        for row in range(t):
+            if imp[row] >> i & 1:
+                imp[row] |= imp[i]
+    full = (1 << t) - 1
+    code = 0
+    while True:
+        for i in range(t):
+            bit = 1 << i
+            if code & bit:
+                continue
+            if imp[i] & -(bit << 1) & ~code:
+                continue  # bit i forces a higher bit the code lacks
+            high = code & -(bit << 1)
+            code = imp[i]
+            for j in bits(high):
+                code |= imp[j]
+            break
+        else:
+            return
+        if code == full:
+            return
+        yield code
 
 
 def iter_splits(u: ClosedSubset) -> Iterator[tuple[ClosedSubset, ClosedSubset, int]]:
     """Yield candidate binary pastings of u, verified, in deterministic order.
 
     Gluing dimension k runs from dim-1 downward; for each k the maximal
-    elements of dimension > k are bipartitioned (ascending bitmask over the
-    left part).  Given a bipartition, the interface is forced: its dim-k
-    elements are those whose covers inside the left closure are all + and
-    inside the right closure all -, and everything outside both closures
-    joins it too.  Each candidate is checked against the definition before
-    being yielded.
+    elements of dimension > k are bipartitioned.  A top a may sit left of a
+    top b only if ``_pair_admissible(a, b, k)``, so a left part must hold
+    everything its members force; the left parts closed under that
+    relation are walked by ``_closed_codes`` in ascending bitmask order,
+    which is the order of a scan over all 2^t bipartitions.  Given a
+    bipartition, the interface is forced: its dim-k elements are those with
+    no - coface in the left closure and no + coface in the right closure,
+    and everything outside both closures joins it too.  Each candidate is
+    checked against the definition before being yielded.
     """
     p = u.parent
     n = u.dim
-    if n < 0:
-        return
     maximals = u.maximal()
-    cache = p._split_memo.get(u.mask)
-    if cache is not None:
-        for lmask, rmask, k in cache:
-            yield ClosedSubset(p, lmask), ClosedSubset(p, rmask), k
-        return
-    found: list[tuple[int, int, int]] = []
     for k in range(n - 1, -1, -1):
         tops = [t for t in maximals if p.dims[t] > k]
         t = len(tops)
         if t < 2:
             continue
-        ok = [[_pair_admissible(p, a, b, k) for b in tops] for a in tops]
-        for code in range(1, (1 << t) - 1):
-            good = True
-            for i in range(t):
-                for j in range(t):
-                    if (code >> i & 1) and not (code >> j & 1):
-                        if not ok[i][j]:
-                            good = False
-                            break
-                if not good:
-                    break
-            if not good:
-                continue
-            a_mask = 0
-            b_mask = 0
+        forced = []
+        for a in tops:
+            row = 0
+            for j, b in enumerate(tops):
+                if a != b and not _pair_admissible(p, a, b, k):
+                    row |= 1 << j
+            forced.append(row)
+        dim_k = u.mask & p.dim_mask(k)
+        downs = [p.down[x] for x in tops]
+        faces = [p.atom_faces(x, k) for x in tops]
+        # dim-k elements below a top that have a + (resp. -) coface below it
+        not_in = [d & dim_k & ~f[0] for d, f in zip(downs, faces)]
+        not_out = [d & dim_k & ~f[1] for d, f in zip(downs, faces)]
+        for code in _closed_codes(forced):
+            a_mask = b_mask = blocked = 0
             for i in range(t):
                 if code >> i & 1:
-                    a_mask |= p.down[tops[i]]
+                    a_mask |= downs[i]
+                    blocked |= not_out[i]
                 else:
-                    b_mask |= p.down[tops[i]]
+                    b_mask |= downs[i]
+                    blocked |= not_in[i]
             rest = u.mask & ~(a_mask | b_mask)
-            ik = 0
-            for z in bits(u.mask & p.dim_mask(k)):
-                if p.cofaces_minus[z] & a_mask:
-                    continue
-                if p.cofaces_plus[z] & b_mask:
-                    continue
-                ik |= 1 << z
-            inter = p.closure_mask(ik) | rest
+            inter = p.closure_mask(dim_k & ~blocked) | rest
             lmask = a_mask | inter
             rmask = b_mask | inter
             if lmask == u.mask or rmask == u.mask:
@@ -177,9 +212,7 @@ def iter_splits(u: ClosedSubset) -> Iterator[tuple[ClosedSubset, ClosedSubset, i
                 continue
             if right.boundary(-1, k).mask != inter:
                 continue
-            found.append((lmask, rmask, k))
             yield left, right, k
-    p._split_memo[u.mask] = found
 
 
 def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
@@ -197,7 +230,7 @@ def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
         return None
     cert: Optional[MoleculeCert] = None
     top = u.greatest()
-    if top is not None and p.down[top] == u.mask:
+    if top is not None:
         cert = MoleculeCert(u, AtomNode(top))
     else:
         # recursion cannot revisit u: split parts are proper subsets
@@ -215,8 +248,7 @@ def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
 
 
 def is_atom(u: ClosedSubset) -> bool:
-    top = u.greatest()
-    return top is not None and u.parent.down[top] == u.mask
+    return u.greatest() is not None
 
 
 def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None

@@ -57,7 +57,8 @@ class OgPoset:
     __slots__ = (
         "dims", "faces_minus", "faces_plus", "size", "dim",
         "cofaces_minus", "cofaces_plus", "down", "all_mask",
-        "_dim_masks", "_hash", "_mol_memo", "_split_memo", "_submol_memo",
+        "_dim_masks", "_above", "_atom_faces", "_hash", "_mol_memo",
+        "_submol_memo",
     )
 
     def __init__(self, dims, faces_minus, faces_plus):
@@ -82,6 +83,14 @@ class OgPoset:
                 raise InvalidStructure(f"element {i} has negative dimension")
             dim_masks[d] |= 1 << i
         self._dim_masks = tuple(dim_masks)
+        # _above[d]: every element of dimension > d (indices are sorted by
+        # dimension, so this is a run of high bits)
+        above = []
+        acc = self.all_mask
+        for m in dim_masks:
+            acc &= ~m
+            above.append(acc)
+        self._above = tuple(above)
 
         cof_m = [0] * n
         cof_p = [0] * n
@@ -120,8 +129,8 @@ class OgPoset:
                     f"chain has length 0")
 
         self._hash = None
+        self._atom_faces = {}
         self._mol_memo = {}
-        self._split_memo = {}
         self._submol_memo = {}
 
     # -- construction and serialisation ---------------------------------
@@ -209,10 +218,33 @@ class OgPoset:
 
     def mask_above(self, d: int) -> int:
         """Mask of all elements of dimension strictly greater than ``d``."""
-        acc = 0
-        for k in range(max(d + 1, 0), self.dim + 1):
-            acc |= self._dim_masks[k]
-        return acc
+        if d < 0:
+            return self.all_mask
+        return self._above[d] if d <= self.dim else 0
+
+    def atom_faces(self, x: int, k: int) -> tuple[int, int]:
+        """The dim-k elements of the input and output k-boundary of cl{x}.
+
+        That is ``(bd-_k cl{x} & dim k, bd+_k cl{x} & dim k)`` for
+        ``k < dims[x]``: the dim-k elements of cl{x} with no + (for the
+        input) or no - (for the output) coface inside cl{x}.  Computed once
+        per element for every such k, so the table holds at most
+        ``2 * size * dim`` masks.
+        """
+        row = self._atom_faces.get(x)
+        if row is None:
+            cl = self.down[x]
+            row = []
+            for d in range(self.dims[x]):
+                ins = outs = 0
+                for z in bits(cl & self._dim_masks[d]):
+                    if not self.cofaces_plus[z] & cl:
+                        ins |= 1 << z
+                    if not self.cofaces_minus[z] & cl:
+                        outs |= 1 << z
+                row.append((ins, outs))
+            row = self._atom_faces[x] = tuple(row)
+        return row[k]
 
     def elements_of_dim(self, d: int) -> Iterator[int]:
         return bits(self.dim_mask(d))
@@ -236,9 +268,14 @@ class OgPoset:
         return ClosedSubset(self, mask)
 
     def closure_mask(self, mask: int) -> int:
+        # the highest index left is never below another one left, so each
+        # step adds a whole downward closure and removes it from the work
+        down = self.down
         acc = 0
-        for i in bits(mask):
-            acc |= self.down[i]
+        while mask:
+            top = down[mask.bit_length() - 1]
+            acc |= top
+            mask &= ~top
         return acc
 
     def subset(self, items: Iterable[int]) -> "ClosedSubset":
@@ -297,13 +334,28 @@ class ClosedSubset:
         return bits(self.mask & self.parent.dim_mask(d))
 
     def maximal(self) -> list[int]:
-        p = self.parent
-        return [i for i in bits(self.mask)
-                if not (p.cofaces(i) & self.mask)]
+        """Maximal elements, ascending.
+
+        The highest index left is maximal (anything above it has a higher
+        index and would already have been taken together with everything
+        below it), so the work grows with the number of maximal elements,
+        not with the size of the subset.
+        """
+        down = self.parent.down
+        out = []
+        rest = self.mask
+        while rest:
+            top = rest.bit_length() - 1
+            out.append(top)
+            rest &= ~down[top]
+        out.reverse()
+        return out
 
     def greatest(self) -> Optional[int]:
-        m = self.maximal()
-        return m[0] if len(m) == 1 else None
+        if not self.mask:
+            return None
+        top = self.mask.bit_length() - 1
+        return top if self.parent.down[top] == self.mask else None
 
     @property
     def is_pure(self) -> bool:

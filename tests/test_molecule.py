@@ -1,11 +1,16 @@
+import json
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dircomplex import (
     OgPoset, ClosedSubset,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule, NotAMolecule,
-    paste, globe, simplex, cube, phi,
+    paste, globe, simplex, cube, phi, gen_corpus,
 )
+from dircomplex.molecule import _closed_codes, _pair_admissible, iter_splits
 from dircomplex.ogposet import bits
 
 
@@ -246,3 +251,139 @@ def test_toplevel_decomposition_explicit_k():
     for part in parts:
         tops = [t for t in part.maximal() if p.dims[t] > 0]
         assert len(tops) == 1
+
+
+# -- the split walk against the exhaustive scan it replaced -----------------
+
+def _pair_admissible_by_definition(p, a, b, k):
+    shared = p.down[a] & p.down[b]
+    if shared & p.mask_above(k):
+        return False
+    for z in bits(shared & p.dim_mask(k)):
+        if p.cofaces_minus[z] & p.down[a]:
+            return False
+        if p.cofaces_plus[z] & p.down[b]:
+            return False
+    return True
+
+
+def _scan_splits(u):
+    """Every verified split of u by a scan over all 2^t - 2 bipartitions."""
+    p = u.parent
+    maximals = [i for i in bits(u.mask) if not p.cofaces(i) & u.mask]
+    found = []
+    for k in range(u.dim - 1, -1, -1):
+        tops = [t for t in maximals if p.dims[t] > k]
+        t = len(tops)
+        if t < 2:
+            continue
+        ok = [[_pair_admissible_by_definition(p, a, b, k) for b in tops]
+              for a in tops]
+        for code in range(1, (1 << t) - 1):
+            if not all(ok[i][j] for i in range(t) for j in range(t)
+                       if code >> i & 1 and not code >> j & 1):
+                continue
+            a_mask = b_mask = 0
+            for i in range(t):
+                if code >> i & 1:
+                    a_mask |= p.down[tops[i]]
+                else:
+                    b_mask |= p.down[tops[i]]
+            rest = u.mask & ~(a_mask | b_mask)
+            ik = 0
+            for z in bits(u.mask & p.dim_mask(k)):
+                if not (p.cofaces_minus[z] & a_mask
+                        or p.cofaces_plus[z] & b_mask):
+                    ik |= 1 << z
+            inter = p.closure_mask(ik) | rest
+            lmask, rmask = a_mask | inter, b_mask | inter
+            if lmask == u.mask or rmask == u.mask or lmask & rmask != inter:
+                continue
+            if ClosedSubset(p, lmask).boundary(+1, k).mask != inter:
+                continue
+            if ClosedSubset(p, rmask).boundary(-1, k).mask != inter:
+                continue
+            found.append((lmask, rmask, k))
+    return found
+
+
+def _split_test_subsets(p, rng):
+    w = p.whole()
+    yield w
+    for sign in (-1, +1):
+        yield w.boundary(sign)
+    for x in range(p.size):
+        yield ClosedSubset(p, p.down[x])
+    for _ in range(10):
+        size = min(p.size, rng.randint(2, 5))
+        yield p.closure(rng.sample(range(p.size), size))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_walk_matches_exhaustive_scan(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for name, p in gen_corpus(seed=seed).items():
+        seen = set()
+        for u in _split_test_subsets(p, rng):
+            if u.mask in seen:
+                continue
+            seen.add(u.mask)
+            got = [(l.mask, r.mask, k) for l, r, k in iter_splits(u)]
+            assert got == _scan_splits(u), (seed, name, bin(u.mask))
+            checked += 1
+    assert checked > 500
+
+
+def _relation_rows(t):
+    row = st.lists(st.integers(0, t - 1), max_size=3).map(
+        lambda js: sum({1 << j for j in js}))
+    return st.lists(row, min_size=t, max_size=t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forced=st.integers(1, 9).flatmap(_relation_rows))
+def test_closed_codes_are_the_closed_bipartitions_in_order(forced):
+    t = len(forced)
+    want = [c for c in range(1, (1 << t) - 1)
+            if all(forced[i] & ~c == 0 for i in bits(c))]
+    assert list(_closed_codes(forced)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pair_admissible_matches_definition(corpus_members, data):
+    _, p = data.draw(st.sampled_from(corpus_members))
+    gens = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1,
+                              max_size=6))
+    u = p.closure(gens)
+    for k in range(u.dim):
+        tops = [t for t in u.maximal() if p.dims[t] > k]
+        for a in tops:
+            for b in tops:
+                if a != b:
+                    assert _pair_admissible(p, a, b, k) == \
+                        _pair_admissible_by_definition(p, a, b, k)
+
+
+def test_certificate_json_shares_nodes_and_keeps_bytes():
+    p = simplex(5)
+    cert = is_molecule(ClosedSubset(p, p.down[p.size - 1]).boundary(-1))
+
+    def nested(c):  # the tree written out with no sharing
+        if c.is_atom:
+            return {"atom": c.tree.top}
+        return {"k": c.tree.k, "left": nested(c.tree.left),
+                "right": nested(c.tree.right)}
+
+    obj = cert.to_json_obj()
+    assert json.dumps(obj) == json.dumps(nested(cert))
+    ids = set()
+
+    def walk(o):
+        ids.add(id(o))
+        if "left" in o:
+            walk(o["left"])
+            walk(o["right"])
+    walk(obj)
+    assert len(ids) < json.dumps(obj).count("{")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dircomplex import (
     OgPoset, PosetMap, ClosedSubset,
@@ -212,3 +213,27 @@ def test_closure_idempotent_monotone_and_bounds_boundary(corpus_members):
         for n in range(-1, sub.dim + 1):
             for sign in (-1, +1, None):
                 assert sub.boundary(sign, n).mask & ~sub.mask == 0, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mask_kernels_match_definitions(corpus_members, data):
+    _, p = data.draw(st.sampled_from(corpus_members))
+    u = p.closure(data.draw(st.lists(st.integers(0, p.size - 1), max_size=6)))
+    mask = u.mask
+    maximal = [i for i in bits(mask) if not p.cofaces(i) & mask]
+    assert u.maximal() == maximal
+    assert u.greatest() == (maximal[0] if len(maximal) == 1 else None)
+    raw = data.draw(st.integers(0, p.all_mask))
+    closure = 0
+    for i in bits(raw):
+        closure |= p.down[i]
+    assert p.closure_mask(raw) == closure
+    for d in range(-2, p.dim + 2):
+        assert p.mask_above(d) == sum(1 << i for i in range(p.size)
+                                      if p.dims[i] > d)
+    for x in maximal:
+        cl = ClosedSubset(p, p.down[x])
+        for k in range(p.dims[x]):
+            assert p.atom_faces(x, k) == tuple(
+                cl.boundary(sign, k).mask & p.dim_mask(k) for sign in (-1, +1))
