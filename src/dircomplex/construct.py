@@ -42,7 +42,9 @@ _O1 = OgPoset((0, 0, 1), (0, 0, 0b001), (0, 0, 0b010))
 def _require_molecule(p: OgPoset) -> MoleculeCert:
     cert = is_molecule(p.whole())
     if cert is None:
-        raise NotAMolecule("input complex is not a molecule")
+        raise NotAMolecule(
+            f"input complex is not a molecule: maximal elements "
+            f"{p.whole().maximal()}, dim {p.dim}")
     return cert
 
 

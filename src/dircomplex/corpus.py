@@ -42,14 +42,8 @@ def gen_corpus(seed: int = 0, max_dim: int = 4, max_elements: int = 200
     corp = Corpus(seed, max_dim, max_elements)
     out = corp.complexes
 
-    def fits(p: OgPoset) -> bool:
-        if p.dim > max_dim or p.size > max_elements:
-            return False
-        # keep the recognizer's split search tractable
-        return len(p.whole().maximal()) <= 10
-
     def add(name: str, p: OgPoset) -> None:
-        if name in out or not fits(p):
+        if name in out or p.dim > max_dim or p.size > max_elements:
             return
         if any(q == p for q in out.values()):
             return

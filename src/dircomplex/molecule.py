@@ -107,17 +107,6 @@ def class_tag(u: ClosedSubset) -> ClassTag:
     )
 
 
-def _pair_admissible(p: OgPoset, a: int, b: int, k: int) -> bool:
-    """Necessary condition for top cell a to sit left of top cell b at dim k.
-
-    Everything shared by cl{a} and cl{b} must land in the gluing interface:
-    dimension at most k, and any dim-k element must be output-only in cl{a}
-    and input-only in cl{b}.
-    """
-    shared = p.down[a] & p.down[b] & p.mask_above(k - 1)
-    return not shared & ~(p.atom_faces(a, k)[1] & p.atom_faces(b, k)[0])
-
-
 def _closed_codes(forced: list[int]) -> Iterator[int]:
     """Every code closed under ``forced``, ascending, but 0 and the full code.
 
@@ -158,61 +147,60 @@ def iter_splits(u: ClosedSubset) -> Iterator[tuple[ClosedSubset, ClosedSubset, i
     """Yield candidate binary pastings of u, verified, in deterministic order.
 
     Gluing dimension k runs from dim-1 downward; for each k the maximal
-    elements of dimension > k are bipartitioned.  A top a may sit left of a
-    top b only if ``_pair_admissible(a, b, k)``, so a left part must hold
-    everything its members force; the left parts closed under that
-    relation are walked by ``_closed_codes`` in ascending bitmask order,
-    which is the order of a scan over all 2^t bipartitions.  Given a
-    bipartition, the interface is forced: its dim-k elements are those with
-    no - coface in the left closure and no + coface in the right closure,
-    and everything outside both closures joins it too.  Each candidate is
-    checked against the definition before being yielded.
+    elements of dimension > k are bipartitioned.  Everything two tops a, b
+    share must land in the gluing interface, so with a on the left, b must
+    go left too when cl{b} meets the ``reach`` mask of a
+    (``OgPoset.split_masks``); the left parts closed under that relation
+    are walked by ``_closed_codes`` in ascending bitmask order, which is the
+    order of a scan over all 2^t bipartitions.  Given a bipartition, the
+    interface is forced: its dim-k elements are those with no - coface in
+    the left closure and no + coface in the right closure, and everything
+    outside both closures joins it too.  Each candidate is checked against
+    the definition before being yielded: bd+_k of the left part is the
+    closure of its dim-k elements outside every left top's ``not_out``,
+    plus what lies under no left top, and bd-_k of the right part dually.
     """
     p = u.parent
-    n = u.dim
     maximals = u.maximal()
-    for k in range(n - 1, -1, -1):
-        tops = [t for t in maximals if p.dims[t] > k]
+    for k in range(u.dim - 1, -1, -1):
+        tops = [x for x in maximals if p.dims[x] > k]
         t = len(tops)
         if t < 2:
             continue
+        downs = [p.down[x] for x in tops]
+        not_in, not_out, reach = zip(*(p.split_masks(x, k) for x in tops))
         forced = []
-        for a in tops:
+        for r in reach:  # a top's own bit in its row is harmless
             row = 0
-            for j, b in enumerate(tops):
-                if a != b and not _pair_admissible(p, a, b, k):
+            for j, d in enumerate(downs):
+                if d & r:
                     row |= 1 << j
             forced.append(row)
         dim_k = u.mask & p.dim_mask(k)
-        downs = [p.down[x] for x in tops]
-        faces = [p.atom_faces(x, k) for x in tops]
-        # dim-k elements below a top that have a + (resp. -) coface below it
-        not_in = [d & dim_k & ~f[0] for d, f in zip(downs, faces)]
-        not_out = [d & dim_k & ~f[1] for d, f in zip(downs, faces)]
         for code in _closed_codes(forced):
-            a_mask = b_mask = blocked = 0
+            a_mask = b_mask = out_blocked = in_blocked = 0
             for i in range(t):
                 if code >> i & 1:
                     a_mask |= downs[i]
-                    blocked |= not_out[i]
+                    out_blocked |= not_out[i]
                 else:
                     b_mask |= downs[i]
-                    blocked |= not_in[i]
+                    in_blocked |= not_in[i]
             rest = u.mask & ~(a_mask | b_mask)
-            inter = p.closure_mask(dim_k & ~blocked) | rest
+            inter = p.closure_mask(dim_k & ~(out_blocked | in_blocked)) | rest
             lmask = a_mask | inter
             rmask = b_mask | inter
             if lmask == u.mask or rmask == u.mask:
                 continue
             if lmask & rmask != inter:
                 continue
-            left = ClosedSubset(p, lmask)
-            right = ClosedSubset(p, rmask)
-            if left.boundary(+1, k).mask != inter:
+            if (p.closure_mask(lmask & dim_k & ~out_blocked)
+                    | inter & ~a_mask) != inter:
                 continue
-            if right.boundary(-1, k).mask != inter:
+            if (p.closure_mask(rmask & dim_k & ~in_blocked)
+                    | inter & ~b_mask) != inter:
                 continue
-            yield left, right, k
+            yield ClosedSubset(p, lmask), ClosedSubset(p, rmask), k
 
 
 def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
@@ -259,9 +247,10 @@ def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None
     atom), each part contains exactly one atom of dimension > k; for
     k = dim-1 that means exactly one top-dimensional atom.
     """
-    if not cert.verify():
-        raise NotAMolecule("invalid certificate")
     u = cert.subset
+    if not cert.verify():
+        raise NotAMolecule(f"invalid certificate: maximal elements "
+                           f"{u.maximal()}, dim {u.dim}")
     if k is None:
         k = cert.tree.k if isinstance(cert.tree, PasteNode) else u.dim - 1
 

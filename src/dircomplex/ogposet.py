@@ -57,7 +57,7 @@ class OgPoset:
     __slots__ = (
         "dims", "faces_minus", "faces_plus", "size", "dim",
         "cofaces_minus", "cofaces_plus", "down", "all_mask",
-        "_dim_masks", "_above", "_atom_faces", "_hash", "_mol_memo",
+        "_dim_masks", "_above", "_split_masks", "_hash", "_mol_memo",
         "_submol_memo",
     )
 
@@ -129,7 +129,7 @@ class OgPoset:
                     f"chain has length 0")
 
         self._hash = None
-        self._atom_faces = {}
+        self._split_masks = {}
         self._mol_memo = {}
         self._submol_memo = {}
 
@@ -222,28 +222,34 @@ class OgPoset:
             return self.all_mask
         return self._above[d] if d <= self.dim else 0
 
-    def atom_faces(self, x: int, k: int) -> tuple[int, int]:
-        """The dim-k elements of the input and output k-boundary of cl{x}.
+    def split_masks(self, x: int, k: int) -> tuple[int, int, int]:
+        """The masks of cl{x} that the split search reads, for ``k < dims[x]``.
 
-        That is ``(bd-_k cl{x} & dim k, bd+_k cl{x} & dim k)`` for
-        ``k < dims[x]``: the dim-k elements of cl{x} with no + (for the
-        input) or no - (for the output) coface inside cl{x}.  Computed once
-        per element for every such k, so the table holds at most
-        ``2 * size * dim`` masks.
+        ``(not_in, not_out, reach)``: the dim-k elements of cl{x} with a +
+        (for ``not_in``) or a - (for ``not_out``) coface inside cl{x}, so
+        outside bd-_k cl{x} or bd+_k cl{x}; and the members of cl{x} of
+        dimension >= k outside bd+_k cl{x}, with the + cofaces of the dim-k
+        elements of bd+_k cl{x} added.  A top b cannot sit right of x at
+        gluing dimension k exactly when cl{b} meets ``reach``.  Computed
+        once per element for every such k, so the table holds at most
+        ``3 * size * dim`` masks.
         """
-        row = self._atom_faces.get(x)
+        row = self._split_masks.get(x)
         if row is None:
             cl = self.down[x]
             row = []
             for d in range(self.dims[x]):
-                ins = outs = 0
+                not_in = not_out = 0
+                reach = cl & self.mask_above(d - 1)
                 for z in bits(cl & self._dim_masks[d]):
-                    if not self.cofaces_plus[z] & cl:
-                        ins |= 1 << z
-                    if not self.cofaces_minus[z] & cl:
-                        outs |= 1 << z
-                row.append((ins, outs))
-            row = self._atom_faces[x] = tuple(row)
+                    if self.cofaces_plus[z] & cl:
+                        not_in |= 1 << z
+                    if self.cofaces_minus[z] & cl:
+                        not_out |= 1 << z
+                    else:
+                        reach = reach & ~(1 << z) | self.cofaces_plus[z]
+                row.append((not_in, not_out, reach))
+            row = self._split_masks[x] = tuple(row)
         return row[k]
 
     def elements_of_dim(self, d: int) -> Iterator[int]:

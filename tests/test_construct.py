@@ -9,7 +9,8 @@ from dircomplex import (
     gray, gray_map, gray_boundary_check, join, join_boundary_check,
     suspend, dual, op, co, op_all,
     cylinder_quotient, inflate, inflate_map, unitor_shape, reverse_map,
-    BoundaryMismatch, NotASubmolecule, NotSpherical, NotClosed,
+    BoundaryMismatch, NotAMolecule, NotASubmolecule, NotSpherical,
+    NotClosed,
     globe, simplex, cube, globe_element, compositor_c, extrtil, phi,
 )
 from dircomplex.construct import amalgamate, gray_with_index, suspend_map
@@ -129,6 +130,14 @@ def test_paste_along_rejects_bad_submolecule():
     v = ClosedSubset(two, two.down[globe_element(2, 0, -1)])  # a point
     with pytest.raises((NotASubmolecule, BoundaryMismatch)):
         paste_along(globe(2), two, v, +1)
+
+
+def test_paste_names_the_input_that_is_not_a_molecule():
+    two_points = OgPoset.from_records([(0, [], []), (0, [], [])])
+    with pytest.raises(NotAMolecule) as exc:
+        paste(globe(1), two_points, 0)
+    assert str(exc.value) == \
+        "input complex is not a molecule: maximal elements [0, 1], dim 0"
 
 
 # -- substitution and cells ----------------------------------------------

@@ -8,9 +8,9 @@ from dircomplex import (
     OgPoset, ClosedSubset,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule, NotAMolecule,
-    paste, globe, simplex, cube, phi, gen_corpus,
+    paste, globe, simplex, cube, phi, gray, gen_corpus,
 )
-from dircomplex.molecule import _closed_codes, _pair_admissible, iter_splits
+from dircomplex.molecule import _closed_codes, iter_splits
 from dircomplex.ogposet import bits
 
 
@@ -215,8 +215,10 @@ def test_invalid_certificate_rejected():
     bogus = MoleculeCert(p.whole(),
                          PasteNode(cert.tree.left, cert.tree.left, 0))
     assert not bogus.verify()
-    with pytest.raises(NotAMolecule):
+    with pytest.raises(NotAMolecule) as exc:
         toplevel_decomposition(bogus)
+    assert str(exc.value) == \
+        "invalid certificate: maximal elements [3, 4], dim 1"
 
 
 def test_boundaries_have_exact_dimension(corpus_members):
@@ -307,32 +309,44 @@ def _scan_splits(u):
     return found
 
 
-def _split_test_subsets(p, rng):
+def _split_test_subsets(p, rng, unions):
     w = p.whole()
     yield w
-    for sign in (-1, +1):
-        yield w.boundary(sign)
+    for k in range(p.dim):
+        for sign in (-1, +1):
+            yield w.boundary(sign, k)
     for x in range(p.size):
         yield ClosedSubset(p, p.down[x])
-    for _ in range(10):
+    for _ in range(unions):
         size = min(p.size, rng.randint(2, 5))
         yield p.closure(rng.sample(range(p.size), size))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_split_walk_matches_exhaustive_scan(seed):
-    rng = random.Random(seed)
-    checked = 0
-    for name, p in gen_corpus(seed=seed).items():
+_SCAN_SHAPES = {"simplex5": simplex(5), "cube4": cube(4),
+                "gray-simplex2-globe2": gray(simplex(2), globe(2))}
+
+
+@pytest.mark.parametrize("source", [0, 1, 2, *_SCAN_SHAPES])
+def test_split_walk_matches_exhaustive_scan(source):
+    rng = random.Random(source)
+    if source in _SCAN_SHAPES:
+        posets = {source: _SCAN_SHAPES[source]}.items()
+        unions, least = 100, 100
+    else:
+        posets = gen_corpus(seed=source).items()
+        unions, least = 10, 500
+    checked = split = 0
+    for name, p in posets:
         seen = set()
-        for u in _split_test_subsets(p, rng):
+        for u in _split_test_subsets(p, rng, unions):
             if u.mask in seen:
                 continue
             seen.add(u.mask)
             got = [(l.mask, r.mask, k) for l, r, k in iter_splits(u)]
-            assert got == _scan_splits(u), (seed, name, bin(u.mask))
+            assert got == _scan_splits(u), (source, name, bin(u.mask))
             checked += 1
-    assert checked > 500
+            split += bool(got)
+    assert checked > least and split > 30
 
 
 def _relation_rows(t):
@@ -352,7 +366,9 @@ def test_closed_codes_are_the_closed_bipartitions_in_order(forced):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_pair_admissible_matches_definition(corpus_members, data):
+def test_forcing_rows_match_pair_definition(corpus_members, data):
+    # a on the left forces b on the left exactly when a may not sit left
+    # of b, i.e. when cl{b} meets the reach mask of a
     _, p = data.draw(st.sampled_from(corpus_members))
     gens = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1,
                               max_size=6))
@@ -360,10 +376,11 @@ def test_pair_admissible_matches_definition(corpus_members, data):
     for k in range(u.dim):
         tops = [t for t in u.maximal() if p.dims[t] > k]
         for a in tops:
+            reach = p.split_masks(a, k)[2]
             for b in tops:
                 if a != b:
-                    assert _pair_admissible(p, a, b, k) == \
-                        _pair_admissible_by_definition(p, a, b, k)
+                    assert bool(p.down[b] & reach) == \
+                        (not _pair_admissible_by_definition(p, a, b, k))
 
 
 def test_certificate_json_shares_nodes_and_keeps_bytes():

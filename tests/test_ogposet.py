@@ -233,7 +233,24 @@ def test_mask_kernels_match_definitions(corpus_members, data):
         assert p.mask_above(d) == sum(1 << i for i in range(p.size)
                                       if p.dims[i] > d)
     for x in maximal:
-        cl = ClosedSubset(p, p.down[x])
+        cl = p.down[x]
         for k in range(p.dims[x]):
-            assert p.atom_faces(x, k) == tuple(
-                cl.boundary(sign, k).mask & p.dim_mask(k) for sign in (-1, +1))
+            # dim-k members of cl{x} covered with a + (not_in) or a -
+            # (not_out) edge from inside cl{x}
+            not_in = not_out = 0
+            for y in bits(cl):
+                for z in bits(p.faces_plus[y]):
+                    if p.dims[z] == k:
+                        not_in |= 1 << z
+                for z in bits(p.faces_minus[y]):
+                    if p.dims[z] == k:
+                        not_out |= 1 << z
+            outs = ClosedSubset(p, cl).boundary(+1, k).mask & p.dim_mask(k)
+            assert outs == cl & p.dim_mask(k) & ~not_out
+            reach = 0
+            for y in range(p.size):
+                if cl >> y & 1 and p.dims[y] >= k and not outs >> y & 1:
+                    reach |= 1 << y
+                if p.faces_plus[y] & outs:
+                    reach |= 1 << y
+            assert p.split_masks(x, k) == (not_in, not_out, reach)
