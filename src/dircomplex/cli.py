@@ -63,30 +63,36 @@ def _emit_complex(p: OgPoset) -> None:
     print(p.to_json())
 
 
+# family -> (parameter count, builder)
+_SHAPES = {
+    "globe": (1, shapes.globe),
+    "simplex": (1, shapes.simplex),
+    "cube": (1, shapes.cube),
+    "phi": (1, lambda m: shapes.phi(m).whole),
+    "C": (2, lambda n, k: shapes.compositor_c(n, k).whole),
+    "E": (2, lambda k, n: shapes.extr(k, n).whole),
+    "Etilde": (2, lambda k, n: shapes.extrtil(k, n).whole),
+}
+
+
+def _arity_error(what: str, count: int, params: list[int]) -> int:
+    print(f"usage: {what} takes {count} parameter{'s' * (count != 1)}, "
+          f"got {len(params)}", file=sys.stderr)
+    return 2
+
+
 def _cmd_shape(args) -> int:
-    name = args.family
-    k = args.params
-    if name == "globe":
-        _emit_complex(shapes.globe(k[0]))
-    elif name == "simplex":
-        _emit_complex(shapes.simplex(k[0]))
-    elif name == "cube":
-        _emit_complex(shapes.cube(k[0]))
-    elif name == "phi":
-        _emit_complex(shapes.phi(k[0]).whole)
-    elif name == "C":
-        _emit_complex(shapes.compositor_c(k[0], k[1]).whole)
-    elif name == "E":
-        _emit_complex(shapes.extr(k[0], k[1]).whole)
-    elif name == "Etilde":
-        _emit_complex(shapes.extrtil(k[0], k[1]).whole)
-    else:
-        raise SystemExit(2)
+    count, build = _SHAPES[args.family]
+    if len(args.params) != count:
+        return _arity_error(f"shape {args.family}", count, args.params)
+    _emit_complex(build(*args.params))
     return 0
 
 
 def _cmd_map(args) -> int:
     name = args.name
+    if len(args.params) != 1:
+        return _arity_error(f"map {name}", 1, args.params)
     n = args.params[0]
     if name == "a":
         m = shapes.folding_a(n)
@@ -193,7 +199,11 @@ def _cmd_topo(args) -> int:
               args.json)
         return 0
     if verb == "homology":
-        h = topology.homology(topology.nerve(sub))
+        # one generator per element is exact only on regular input; the
+        # nerve holds for any poset
+        k = (topology.cell_complex(sub) if is_regular_complex(sub)
+             else topology.nerve(sub))
+        h = topology.homology(k)
         _emit({"H": [{"betti": b, "torsion": t} for b, t in h]}, args.json)
         return 0
     if verb == "euler":
@@ -233,15 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("shape", help="emit a named shape")
-    sp.add_argument("family",
-                    choices=["globe", "simplex", "cube", "phi",
-                             "C", "E", "Etilde"])
-    sp.add_argument("params", nargs="+", type=int)
+    sp.add_argument("family", choices=list(_SHAPES))
+    sp.add_argument("params", nargs="*", type=int)
     sp.set_defaults(func=_cmd_shape)
 
     mp = sub.add_parser("map", help="emit a named map")
     mp.add_argument("name", choices=["a", "c", "gamma", "sprec"])
-    mp.add_argument("params", nargs="+", type=int)
+    mp.add_argument("params", nargs="*", type=int)
     mp.set_defaults(func=_cmd_map)
 
     cp = sub.add_parser("check", help="run a predicate on a complex")
@@ -260,11 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     opp.add_argument("--emit-maps", action="store_true")
     opp.set_defaults(func=_cmd_op)
 
-    tp = sub.add_parser("topo", help="nerve / homology backend")
+    tp = sub.add_parser(
+        "topo", help="nerve / homology backend",
+        description="nerve, homology and euler act on the selected subset "
+                    "(--subset, --boundary); cwcheck always reports on "
+                    "every atom of the whole complex")
     tp.add_argument("verb", choices=["nerve", "homology", "euler", "cwcheck"])
     tp.add_argument("file")
-    tp.add_argument("--subset")
-    tp.add_argument("--boundary", action="store_true")
+    tp.add_argument("--subset", help="comma-separated generating elements "
+                                     "(ignored by cwcheck)")
+    tp.add_argument("--boundary", action="store_true",
+                    help="take the boundary of the subset (ignored by "
+                         "cwcheck)")
     tp.set_defaults(func=_cmd_topo)
 
     gp = sub.add_parser("corpus", help="list or emit corpus members")

@@ -283,9 +283,17 @@ def has_spherical_boundary(cert: MoleculeCert) -> bool:
     return True
 
 
-def is_regular_complex(p: OgPoset) -> bool:
-    """Every atom has molecule boundaries, is globular, and is spherical."""
-    for x in range(p.size):
+def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
+    """Every atom has molecule boundaries, is globular, and is spherical.
+
+    Given a closed subset, only its own elements are checked: a closed
+    subset of a regular complex is regular.
+    """
+    if isinstance(p, ClosedSubset):
+        p, members = p.parent, bits(p.mask)
+    else:
+        members = range(p.size)
+    for x in members:
         d = p.dims[x]
         if d == 0:
             continue

@@ -1,6 +1,15 @@
 """Nerves, chain complexes, and integer homology.
 
-The nerve of a poset is its order complex: strictly increasing chains.
+Homology is computed from one of two chain complexes:
+
+- the nerve of a poset, its order complex of strictly increasing chains,
+  which is the barycentric subdivision and needs no assumption;
+- the cellular complex of a regular directed complex (Steiner's complex),
+  with one generator per element and boundary ``x+ - x-`` over its
+  codimension-1 faces.  A regular directed complex realizes as a regular
+  CW complex, and on one any +-1 incidence with ``dd = 0`` computes
+  cellular homology; ``dd = 0`` there is globularity.
+
 Homology is computed over the integers from sparse boundary maps: every
 +-1 entry is eliminated as a pivot, and what is left goes to dense Smith
 normal form, with a fast machine-integer path that escalates to arbitrary
@@ -71,11 +80,11 @@ def nerve_map(f: PosetMap, k: SimplicialComplex) -> SimplicialComplex:
 
 @dataclass
 class ChainComplex:
-    """Sparse integer boundary maps of a simplicial complex.
+    """Sparse integer boundary maps of a simplicial or cellular complex.
 
-    ``counts[d]`` is the number of d-simplices and ``columns[d][j]`` the
-    boundary of d-simplex j as ``{face index: coefficient}``; 0-simplices
-    have empty boundaries.
+    ``counts[d]`` is the number of d-cells (d-simplices of a nerve, or
+    d-dimensional elements) and ``columns[d][j]`` the boundary of d-cell j
+    as ``{face index: coefficient}``; 0-cells have empty boundaries.
     """
 
     counts: list[int]
@@ -102,6 +111,37 @@ def chain_complex(k: SimplicialComplex) -> ChainComplex:
                          for i in range(len(c))} for c in k.simplices[d]])
     cc = ChainComplex(k.counts(), columns)
     assert cc.check_dd_zero(), "boundary of a boundary must vanish"
+    return cc
+
+
+def cell_complex(p: Union[OgPoset, ClosedSubset]) -> ChainComplex:
+    """Steiner's chain complex: one generator per element, ``dx = x+ - x-``.
+
+    Generators are numbered within each dimension in index order.  It
+    computes homology only on a regular directed complex
+    (``is_regular_complex``).  On other input ``dd = 0`` may fail, and
+    then the build raises ``ValueError``: unlike a nerve's, this check
+    depends on the input, so it is no assertion.
+    """
+    if isinstance(p, OgPoset):
+        poset, mask = p, p.all_mask
+    else:
+        poset, mask = p.parent, p.mask
+    # faces need not precede their cofaces in index order: number first
+    levels: list[list[int]] = []
+    for x in bits(mask):
+        d = poset.dims[x]
+        while len(levels) <= d:
+            levels.append([])
+        levels[d].append(x)
+    index = {x: i for level in levels for i, x in enumerate(level)}
+    columns = [[{**{index[f]: 1 for f in bits(poset.faces_plus[x])},
+                 **{index[f]: -1 for f in bits(poset.faces_minus[x])}}
+                for x in level] for level in levels]
+    cc = ChainComplex([len(level) for level in levels], columns)
+    if not cc.check_dd_zero():
+        raise ValueError("boundary of a boundary does not vanish: "
+                         "not a regular directed complex")
     return cc
 
 
@@ -201,9 +241,13 @@ def _snf_core(a, check: bool) -> list[int]:
     return diag
 
 
-def homology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:
-    """Unreduced integer homology: (betti, torsion coefficients) per degree."""
-    cc = chain_complex(k)
+def homology(k: Union[SimplicialComplex, ChainComplex]
+             ) -> list[tuple[int, list[int]]]:
+    """Unreduced integer homology: (betti, torsion coefficients) per degree.
+
+    A simplicial complex is turned into its chain complex first.
+    """
+    cc = k if isinstance(k, ChainComplex) else chain_complex(k)
     inv = [_invariants(c) for c in cc.columns] + [[]]
     return [(n - len(inv[d]) - len(inv[d + 1]),
              sorted(x for x in inv[d + 1] if x > 1))
@@ -257,6 +301,10 @@ def face_poset_roundtrip(p: OgPoset) -> RoundtripReport:
     look like a sphere of dimension d - 1, in homology and Euler
     characteristic.  The nerve of the closure of x is a cone with apex x,
     hence always a ball, so it needs no check.
+
+    This stays on nerves: ``cell_complex`` computes homology only because
+    atom boundaries are spheres, which is the claim checked here, so
+    checking it on cells would be circular.
     """
     failures = []
     for x in range(p.size):

@@ -186,3 +186,17 @@ def test_op_subst(tmp_path, capsys):
     code, out, _ = invoke(capsys, "op", "subst", str(u), str(cell), str(w))
     assert code == 0
     assert OgPoset.from_json(out).size == p.size
+
+
+@pytest.mark.parametrize("argv", [
+    ["shape", "globe"], ["shape", "simplex", "2", "3"], ["shape", "cube"],
+    ["shape", "phi", "3", "1"], ["shape", "C", "4"], ["shape", "E", "1"],
+    ["shape", "Etilde", "1"], ["shape", "C", "2", "0", "1"],
+    ["map", "a"], ["map", "c", "2", "1"], ["map", "gamma", "2", "2"],
+    ["map", "sprec"],
+])
+def test_wrong_parameter_count_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"usage: {argv[0]} {argv[1]} takes ")

@@ -1,7 +1,7 @@
 from dircomplex import (
     OgPoset, ClosedSubset,
-    nerve, nerve_map, homology, euler, face_poset_roundtrip,
-    globe, simplex, cube, globe_tau,
+    nerve, nerve_map, cell_complex, homology, euler, face_poset_roundtrip,
+    globe, simplex, cube, globe_tau, is_regular_complex,
 )
 from dircomplex.topology import (
     ChainComplex, SimplicialComplex, chain_complex, _snf_invariants,
@@ -9,7 +9,9 @@ from dircomplex.topology import (
 )
 from hypothesis import given, settings, strategies as st
 import itertools
+import json
 import numpy as np
+import pytest
 
 POINT = OgPoset.point()
 
@@ -189,3 +191,117 @@ def test_euler_one_for_spherical_corpus_molecules(corpus_members):
         assert euler(nerve(p)) == 1, name
         count += 1
     assert count >= 15
+
+
+def test_cell_complex_counts_and_columns():
+    cc = cell_complex(globe(2))
+    assert cc.counts == [2, 2, 1]
+    # both arrows run 0 -> 1; the 2-cell goes from arrow 0 to arrow 1
+    assert cc.columns == [[{}, {}], [{1: 1, 0: -1}, {1: 1, 0: -1}],
+                          [{1: 1, 0: -1}]]
+    assert cell_complex(ClosedSubset(POINT, 0)).counts == []
+    assert homology(cell_complex(ClosedSubset(POINT, 0))) == []
+
+
+def test_cell_complex_numbers_faces_after_cofaces():
+    # the arrow comes first in index order, its endpoints after it
+    p = OgPoset.from_records([
+        {"dim": 1, "minus": [1], "plus": [2]},
+        {"dim": 0, "minus": [], "plus": []},
+        {"dim": 0, "minus": [], "plus": []},
+    ])
+    assert cell_complex(p).columns == [[{}, {}], [{1: 1, 0: -1}]]
+    assert homology(cell_complex(p)) == homology(nerve(p)) == \
+        [(1, []), (0, [])]
+
+
+def test_cell_homology_of_sphere_families():
+    for n in range(1, 6):
+        for shape in (globe(n), simplex(n), cube(n)):
+            bd = shape.whole().boundary()
+            assert _matches(homology(cell_complex(bd)),
+                            sphere_signature(bd.dim))
+            assert _matches(homology(cell_complex(shape)), ball_signature())
+
+
+def _closed_subsets(data, p):
+    gens = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1,
+                              max_size=5))
+    u = p.closure(gens)
+    yield u
+    yield u.boundary()
+    if u.dim >= 1:
+        k = data.draw(st.integers(0, u.dim - 1))
+        yield u.boundary(data.draw(st.sampled_from((-1, +1))), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cell_homology_matches_nerve(corpus_members, data):
+    # the nerve is the oracle: both complexes must give the same homology
+    # wherever the regularity gate lets the cellular path run
+    _, p = data.draw(st.sampled_from(corpus_members))
+    for u in _closed_subsets(data, p):
+        if is_regular_complex(u):
+            assert homology(cell_complex(u)) == homology(nerve(u)), \
+                bin(u.mask)
+
+
+# a 2-cell whose input boundary is two parallel arrows: an atom by the
+# greatest-element rule, but not globular
+PARALLEL_INPUT = OgPoset.from_records([
+    {"dim": 0, "minus": [], "plus": []},
+    {"dim": 0, "minus": [], "plus": []},
+    {"dim": 1, "minus": [0], "plus": [1]},
+    {"dim": 1, "minus": [0], "plus": [1]},
+    {"dim": 1, "minus": [0], "plus": [1]},
+    {"dim": 2, "minus": [2, 3], "plus": [4]},
+])
+
+
+def test_cell_complex_of_non_globular_atom_fails_dd_zero():
+    # d(4 - 2 - 3) = -(1 - 0): Steiner's boundary is no chain complex here,
+    # which is why the regularity gate must run before cell_complex
+    assert not is_regular_complex(PARALLEL_INPUT)
+    with pytest.raises(ValueError, match="boundary of a boundary"):
+        cell_complex(PARALLEL_INPUT)
+    # its boundary, three parallel arrows, is regular and agrees with the
+    # nerve
+    bd = PARALLEL_INPUT.whole().boundary()
+    assert is_regular_complex(bd)
+    assert homology(cell_complex(bd)) == homology(nerve(bd)) == \
+        [(1, []), (2, [])]
+
+
+def test_is_regular_complex_checks_only_the_subset():
+    # the non-globular 2-cell lies outside the closure of arrow 2
+    assert is_regular_complex(PARALLEL_INPUT.closure([2]))
+    assert not is_regular_complex(PARALLEL_INPUT.whole())
+
+
+def test_cli_homology_takes_nerve_path_off_the_gate(tmp_path, capsys,
+                                                     monkeypatch):
+    from dircomplex import topology
+    from dircomplex.cli import run
+    f = tmp_path / "parallel.json"
+    f.write_text(PARALLEL_INPUT.to_json())
+    built = []
+
+    def spy(name):
+        real = getattr(topology, name)
+
+        def build(u):
+            built.append(name)
+            return real(u)
+        monkeypatch.setattr(topology, name, build)
+    spy("nerve")
+    spy("cell_complex")
+    assert run(["--json", "topo", "homology", str(f)]) == 0
+    assert built == ["nerve"]
+    assert json.loads(capsys.readouterr().out)["H"] == \
+        [{"betti": b, "torsion": t} for b, t in homology(nerve(PARALLEL_INPUT))]
+    built.clear()
+    assert run(["--json", "topo", "homology", str(f), "--boundary"]) == 0
+    assert built == ["cell_complex"]
+    assert json.loads(capsys.readouterr().out)["H"] == [
+        {"betti": 1, "torsion": []}, {"betti": 2, "torsion": []}]
