@@ -131,10 +131,10 @@ def _cmd_check(args) -> int:
         ok = cert is not None and has_spherical_boundary(cert)
         payload = cert.to_json_obj() if cert else None
     elif kind == "regular":
-        ok = is_regular_complex(p)
+        ok = is_regular_complex(sub)
         payload = None
     elif kind == "loopfree":
-        ok = is_totally_loop_free(p)
+        ok = is_totally_loop_free(sub.extract()[0])
         payload = None
     else:
         raise SystemExit(2)

@@ -230,23 +230,39 @@ def compos(u: OgPoset) -> OgPoset:
 
 def gray_with_index(p: OgPoset, q: OgPoset
                     ) -> tuple[OgPoset, dict[tuple[int, int], int]]:
-    """Gray product plus the (p element, q element) -> product element map."""
-    pairs = [(i, j) for i in range(p.size) for j in range(q.size)]
-    pairs.sort(key=lambda t: (p.dims[t[0]] + q.dims[t[1]], t[0], t[1]))
-    idx = {t: n for n, t in enumerate(pairs)}
-    dims, fm, fp = [], [], []
-    for (i, j) in pairs:
-        dims.append(p.dims[i] + q.dims[j])
-        m = sum(1 << idx[(i2, j)] for i2 in bits(p.faces_minus[i]))
-        pl = sum(1 << idx[(i2, j)] for i2 in bits(p.faces_plus[i]))
-        # second factor: orientation twisted by the first factor's dimension
-        qm, qp = q.faces_minus[j], q.faces_plus[j]
-        if p.dims[i] % 2:
-            qm, qp = qp, qm
-        m |= sum(1 << idx[(i, j2)] for j2 in bits(qm))
-        pl |= sum(1 << idx[(i, j2)] for j2 in bits(qp))
-        fm.append(m)
-        fp.append(pl)
+    """Gray product plus the (p element, q element) -> product element map.
+
+    Pairs are numbered in (dimension sum, p element, q element) order, so
+    the faces of a pair are numbered before it, at ``pos[i][j]``.  The
+    second factor's orientation is twisted by the first factor's dimension.
+    """
+    p_faces, q_faces = ([(list(bits(m)), list(bits(pl)))
+                         for m, pl in zip(r.faces_minus, r.faces_plus)]
+                        for r in (p, q))
+    q_twisted = [(pl, m) for m, pl in q_faces]
+    q_by_dim = [list(bits(q.dim_mask(e))) for e in range(q.dim + 1)]
+    pos = [[0] * q.size for _ in range(p.size)]
+    idx, dims, fm, fp = {}, [], [], []
+    for s in range(p.dim + q.dim + 1):
+        for d in range(max(0, s - q.dim), min(s, p.dim) + 1):
+            qf = q_twisted if d % 2 else q_faces
+            for i in bits(p.dim_mask(d)):
+                row, (pm, pp) = pos[i], p_faces[i]
+                for j in q_by_dim[s - d]:
+                    idx[(i, j)] = row[j] = len(dims)
+                    dims.append(s)
+                    m = pl = 0
+                    for i2 in pm:
+                        m |= 1 << pos[i2][j]
+                    for i2 in pp:
+                        pl |= 1 << pos[i2][j]
+                    qm, qp = qf[j]
+                    for j2 in qm:
+                        m |= 1 << row[j2]
+                    for j2 in qp:
+                        pl |= 1 << row[j2]
+                    fm.append(m)
+                    fp.append(pl)
     return OgPoset(dims, fm, fp), idx
 
 

@@ -351,8 +351,11 @@ def is_totally_loop_free(p: OgPoset) -> bool:
 
 
 def composable(a: ClosedSubset, b: ClosedSubset, k: int) -> bool:
-    """Whether a #k b is defined: they meet exactly in the matching bd's."""
+    """Whether a #k b is defined: they meet exactly in the matching bd's
+    (which have dimension <= k)."""
     inter = a.mask & b.mask
+    if inter & a.parent.mask_above(k):
+        return False
     return (a.boundary(+1, k).mask == inter
             and b.boundary(-1, k).mask == inter)
 

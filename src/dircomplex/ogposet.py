@@ -9,6 +9,7 @@ boundaries are unions/intersections of precomputed masks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -49,9 +50,9 @@ class OgPoset:
     """A finite oriented graded poset.
 
     ``faces_minus[i]`` and ``faces_plus[i]`` are bitmasks of the elements
-    covered by ``i`` with orientation - and + respectively.  Construction
-    checks all structural invariants and precomputes coface masks and
-    per-element downward closures.
+    covered by ``i`` with orientation - and + respectively.  The one
+    constructor always validates every invariant with mask tests, and
+    precomputes coface masks and downward closures in the same pass.
     """
 
     __slots__ = (
@@ -62,72 +63,70 @@ class OgPoset:
     )
 
     def __init__(self, dims, faces_minus, faces_plus):
-        self.dims = tuple(dims)
+        self.dims = dims = tuple(dims)
         self.faces_minus = tuple(faces_minus)
         self.faces_plus = tuple(faces_plus)
-        n = self.size = len(self.dims)
+        n = self.size = len(dims)
         if not (len(self.faces_minus) == len(self.faces_plus) == n):
             raise InvalidStructure("face tables and dims differ in length")
-        self.dim = max(self.dims) if n else -1
+        self.dim = max(dims) if n else -1
         self.all_mask = (1 << n) - 1
+        if list(dims) != sorted(dims):
+            raise InvalidStructure(
+                "elements must be sorted by dimension; "
+                "use OgPoset.from_records for raw input")
+        if n and dims[0] < 0:
+            raise InvalidStructure("element 0 has negative dimension")
 
-        for i in range(n - 1):
-            if self.dims[i] > self.dims[i + 1]:
-                raise InvalidStructure(
-                    "elements must be sorted by dimension; "
-                    "use OgPoset.from_records for raw input")
+        # dimension d is the index run [ends[d - 1], ends[d]), and _above[d]
+        # (every element of dimension > d) is every bit from ends[d] up
+        ends = [bisect_right(dims, d) for d in range(self.dim + 1)]
+        self._dim_masks = dim_masks = tuple(
+            (1 << e) - (1 << s) for s, e in zip([0] + ends, ends))
+        self._above = tuple(self.all_mask >> e << e for e in ends)
 
-        dim_masks = [0] * (self.dim + 1)
-        for i, d in enumerate(self.dims):
-            if d < 0:
-                raise InvalidStructure(f"element {i} has negative dimension")
-            dim_masks[d] |= 1 << i
-        self._dim_masks = tuple(dim_masks)
-        # _above[d]: every element of dimension > d (indices are sorted by
-        # dimension, so this is a run of high bits)
-        above = []
-        acc = self.all_mask
-        for m in dim_masks:
-            acc &= ~m
-            above.append(acc)
-        self._above = tuple(above)
-
-        cof_m = [0] * n
-        cof_p = [0] * n
-        down = [0] * n
-        for i in range(n):
-            fm, fp = self.faces_minus[i], self.faces_plus[i]
+        cof_m, cof_p, down = [0] * n, [0] * n, [0] * n
+        # faces drop dimension by exactly one, so an element is graded
+        # unless it is face-less above dimension 0; reported after the rest
+        faceless = -1
+        bit = 1
+        for i, d, fm, fp in zip(range(n), dims, self.faces_minus,
+                                self.faces_plus):
             if fm & fp:
-                j = next(bits(fm & fp))
+                j = (fm & fp & -(fm & fp)).bit_length() - 1
                 raise OrientationClash(
                     f"element {i} lists {j} as both a - and a + face")
-            if (fm | fp) >> n:
+            faces = fm | fp
+            if faces >> n:
                 raise IndexOutOfRange(f"element {i} has a face out of range")
-            acc = 1 << i
-            for j in bits(fm | fp):
-                if self.dims[j] != self.dims[i] - 1:
-                    raise FaceDimMismatch(
-                        f"element {i} (dim {self.dims[i]}) has face {j} "
-                        f"of dim {self.dims[j]}")
+            bad = faces & ~dim_masks[d - 1] if d else faces
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                raise FaceDimMismatch(
+                    f"element {i} (dim {d}) has face {j} of dim {dims[j]}")
+            if d and not faces and faceless < 0:
+                faceless = i
+            acc = bit
+            while fm:
+                low = fm & -fm
+                j = low.bit_length() - 1
                 acc |= down[j]
+                cof_m[j] |= bit
+                fm ^= low
+            while fp:
+                low = fp & -fp
+                j = low.bit_length() - 1
+                acc |= down[j]
+                cof_p[j] |= bit
+                fp ^= low
             down[i] = acc
-            for j in bits(fm):
-                cof_m[j] |= 1 << i
-            for j in bits(fp):
-                cof_p[j] |= 1 << i
+            bit <<= 1
+        if faceless >= 0:
+            raise NotGraded(f"element {faceless}: stored dim {dims[faceless]}"
+                            f" but longest chain has length 0")
         self.cofaces_minus = tuple(cof_m)
         self.cofaces_plus = tuple(cof_p)
         self.down = tuple(down)
-
-        # Gradedness: the longest-chain height of every element must agree
-        # with its stored dimension.  Faces drop dimension by exactly one,
-        # so this reduces to "no face-less element above dimension 0".
-        for i in range(n):
-            if self.dims[i] and not (self.faces_minus[i] | self.faces_plus[i]):
-                raise NotGraded(
-                    f"element {i}: stored dim {self.dims[i]} but longest "
-                    f"chain has length 0")
-
         self._hash = None
         self._split_masks = {}
         self._mol_memo = {}
@@ -374,26 +373,32 @@ class ClosedSubset:
         """The n-boundary of this subset; ``sign`` None means both halves.
 
         Default n is dim - 1.  An element of dimension n is a +-face when no
-        member covers it with a - edge (and dually); on top of the closure
-        of those, every member not below anything of dimension > n belongs
-        to either boundary.
+        member (of dimension n + 1) covers it with a - edge, and dually; on
+        top of the closure of those, every member not below anything of
+        dimension > n belongs to either boundary.
         """
-        p = self.parent
+        p, mask, dim = self.parent, self.mask, self.dim
         if n is None:
-            n = self.dim - 1
-        if n >= self.dim:
+            n = dim - 1
+        if n >= dim:
             return self
         sb = 0
         if n >= 0:
-            for i in bits(self.mask & p.dim_mask(n)):
-                no_minus = not (p.cofaces_minus[i] & self.mask)
-                no_plus = not (p.cofaces_plus[i] & self.mask)
-                if (sign is None and (no_minus or no_plus)) \
-                        or (sign == +1 and no_minus) \
-                        or (sign == -1 and no_plus):
-                    sb |= p.down[i]
-        under_higher = p.closure_mask(self.mask & p.mask_above(n))
-        return ClosedSubset(p, sb | (self.mask & ~under_higher))
+            covered_m = covered_p = 0
+            rest = mask & p._dim_masks[n + 1]
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                covered_m |= p.faces_minus[y]
+                covered_p |= p.faces_plus[y]
+                rest ^= low
+            keep = (~(covered_m & covered_p) if sign is None
+                    else ~covered_m if sign == +1
+                    else ~covered_p if sign == -1 else 0)
+            sb = p.closure_mask(mask & p._dim_masks[n] & keep)
+        under_higher = p.closure_mask(
+            mask & (p._above[n] if n >= 0 else p.all_mask))
+        return ClosedSubset(p, sb | (mask & ~under_higher))
 
     def extract(self) -> tuple[OgPoset, "PosetMap"]:
         """Standalone copy of this subset plus its inclusion map."""

@@ -76,7 +76,7 @@ def _boundary_masks(p):
 
 
 def test_criterion_03_product_boundary_formulas(corpus_members):
-    with Budget(3, "Gray/join boundary formulas", 60.0):
+    with Budget(3, "Gray/join boundary formulas", 20.0):
         pairs = [(a, b) for _, a in corpus_members for _, b in corpus_members
                  if a.dim + b.dim <= 4]
         assert pairs
@@ -270,7 +270,7 @@ def test_criterion_10_realization_homology(corpus_members):
 
 
 def test_criterion_11_omega_category_laws(corpus_members):
-    with Budget(11, "omega-category laws", 300.0):
+    with Budget(11, "omega-category laws", 60.0):
         small = [(name, p) for name, p in corpus_members if p.size <= 40]
         assert len(small) >= 20
         for name, p in small:

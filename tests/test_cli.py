@@ -52,6 +52,25 @@ def test_check_subset(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+def test_check_regular_and_loopfree_honour_subset(tmp_path, capsys):
+    # a 2-cell whose input boundary is two parallel arrows is not regular,
+    # but the closure of one arrow is
+    two_cell = "perfbench/pool/parallel-input-2cell.json"
+    code, _, _ = invoke(capsys, "check", "regular", two_cell)
+    assert code == 1
+    code, _, _ = invoke(capsys, "check", "regular", two_cell, "--subset", "2")
+    assert code == 0
+    # two arrows forming a loop, and one of them on its own
+    loop = tmp_path / "loop.json"
+    loop.write_text(OgPoset((0, 0, 1, 1), (0, 0, 0b01, 0b10),
+                            (0, 0, 0b10, 0b01)).to_json())
+    code, _, _ = invoke(capsys, "check", "loopfree", str(loop))
+    assert code == 1
+    code, _, _ = invoke(capsys, "check", "loopfree", str(loop),
+                        "--subset", "2")
+    assert code == 0
+
+
 def test_op_pipeline(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(globe(1).to_json())

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dircomplex import (
     OgPoset, ClosedSubset, PosetMap, find_isomorphism,
@@ -13,7 +14,9 @@ from dircomplex import (
     NotClosed,
     globe, simplex, cube, globe_element, compositor_c, extrtil, phi,
 )
-from dircomplex.construct import amalgamate, gray_with_index, suspend_map
+from dircomplex.construct import (
+    amalgamate, gray_with_index, join_with_index, suspend_map, _with_bottom,
+)
 from dircomplex.ogposet import bits
 
 POINT = OgPoset.point()
@@ -464,3 +467,56 @@ def test_join_associative_up_to_iso():
 
 def test_inflate_point_is_arrow():
     assert inflate(POINT).whole == globe(1)
+
+
+def _gray_by_sort(p, q):
+    """The Gray product numbered by sorting every pair on
+    (dimension sum, p element, q element) and looking each face up."""
+    pairs = [(i, j) for i in range(p.size) for j in range(q.size)]
+    pairs.sort(key=lambda t: (p.dims[t[0]] + q.dims[t[1]], t[0], t[1]))
+    idx = {t: n for n, t in enumerate(pairs)}
+    dims, fm, fp = [], [], []
+    for (i, j) in pairs:
+        dims.append(p.dims[i] + q.dims[j])
+        m = sum(1 << idx[(i2, j)] for i2 in bits(p.faces_minus[i]))
+        pl = sum(1 << idx[(i2, j)] for i2 in bits(p.faces_plus[i]))
+        qm, qp = q.faces_minus[j], q.faces_plus[j]
+        if p.dims[i] % 2:
+            qm, qp = qp, qm
+        m |= sum(1 << idx[(i, j2)] for j2 in bits(qm))
+        pl |= sum(1 << idx[(i, j2)] for j2 in bits(qp))
+        fm.append(m)
+        fp.append(pl)
+    return (dims, fm, fp), idx
+
+
+def _tables(p):
+    return [list(p.dims), list(p.faces_minus), list(p.faces_plus)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gray_and_join_match_the_sorted_numbering(corpus_members, data):
+    small = [p for _, p in corpus_members if p.size <= 30]
+    p = data.draw(st.sampled_from(small))
+    q = data.draw(st.sampled_from(small))
+    prod, idx = gray_with_index(p, q)
+    want, want_idx = _gray_by_sort(p, q)
+    assert _tables(prod) == [list(t) for t in want]
+    assert list(idx.items()) == list(want_idx.items())
+    joined, jidx = join_with_index(p, q)
+    (dims, fm, fp), bidx = _gray_by_sort(_with_bottom(p), _with_bottom(q))
+    assert _tables(joined) == [[d - 1 for d in dims[1:]],
+                               [m >> 1 for m in fm[1:]],
+                               [m >> 1 for m in fp[1:]]]
+    assert list(jidx.items()) == [((i - 1, j - 1), n - 1)
+                                  for (i, j), n in bidx.items() if n]
+
+
+def test_gray_with_empty_and_point_factors():
+    for p in (EMPTY, POINT, globe(1), simplex(2)):
+        for q in (EMPTY, POINT, globe(1), simplex(2)):
+            prod, idx = gray_with_index(p, q)
+            want, want_idx = _gray_by_sort(p, q)
+            assert _tables(prod) == [list(t) for t in want]
+            assert list(idx.items()) == list(want_idx.items())

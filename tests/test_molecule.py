@@ -8,6 +8,7 @@ from dircomplex import (
     OgPoset, ClosedSubset,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule, NotAMolecule,
+    composable,
     paste, globe, simplex, cube, phi, gray, gen_corpus,
 )
 from dircomplex.molecule import _closed_codes, iter_splits
@@ -404,3 +405,20 @@ def test_certificate_json_shares_nodes_and_keeps_bytes():
             walk(o["right"])
     walk(obj)
     assert len(ids) < json.dumps(obj).count("{")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_composable_agrees_with_its_two_boundaries(corpus_members, data):
+    # the early refusal (a common element above dimension k) must give the
+    # answer that comparing both k-boundaries with the intersection gives
+    _, p = data.draw(st.sampled_from(corpus_members))
+    tops = st.lists(st.integers(0, p.size - 1), min_size=1, max_size=4)
+    a = p.closure(data.draw(tops))
+    b = p.closure(data.draw(tops))
+    for u, v in ((a, b), (b, a), (a, a.boundary(+1)), (a.boundary(-1), a)):
+        inter = u.mask & v.mask
+        for k in range(-1, p.dim + 1):
+            assert composable(u, v, k) == (
+                u.boundary(+1, k).mask == inter
+                and v.boundary(-1, k).mask == inter), k

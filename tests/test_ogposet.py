@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dircomplex import (
-    OgPoset, PosetMap, ClosedSubset,
+    OgPoset, PosetMap, ClosedSubset, InvalidStructure,
     FaceDimMismatch, OrientationClash, NotGraded, IndexOutOfRange,
     factorize, find_isomorphism,
     globe, simplex, globe_element, simplex_index, globe_tau,
@@ -254,3 +254,146 @@ def test_mask_kernels_match_definitions(corpus_members, data):
                 if p.faces_plus[y] & outs:
                     reach |= 1 << y
             assert p.split_masks(x, k) == (not_in, not_out, reach)
+
+
+def _boundary_by_element(u, sign=None, n=None):
+    """The boundary as one loop over the dim-n members, each asking its own
+    coface masks whether the subset covers it with a - or a + edge."""
+    p = u.parent
+    if n is None:
+        n = u.dim - 1
+    if n >= u.dim:
+        return u.mask
+    sb = 0
+    if n >= 0:
+        for i in bits(u.mask & p.dim_mask(n)):
+            no_minus = not (p.cofaces_minus[i] & u.mask)
+            no_plus = not (p.cofaces_plus[i] & u.mask)
+            if (sign is None and (no_minus or no_plus)) \
+                    or (sign == +1 and no_minus) \
+                    or (sign == -1 and no_plus):
+                sb |= p.down[i]
+    under_higher = p.closure_mask(u.mask & p.mask_above(n))
+    return sb | (u.mask & ~under_higher)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_boundary_kernel_matches_per_element_loop(corpus_members, data):
+    _, p = data.draw(st.sampled_from(corpus_members))
+    u = p.closure(data.draw(st.lists(st.integers(0, p.size - 1), max_size=6)))
+    for sign in (-1, +1, None):
+        assert u.boundary(sign).mask == _boundary_by_element(u, sign)
+        for n in range(-1, u.dim + 1):
+            assert u.boundary(sign, n).mask == \
+                _boundary_by_element(u, sign, n), (sign, n)
+
+
+def _validate_by_loops(dims, fm, fp):
+    """Every construction check as a separate loop over the elements, in
+    the order the checks take precedence."""
+    n = len(dims)
+    for i in range(n - 1):
+        if dims[i] > dims[i + 1]:
+            raise InvalidStructure(
+                "elements must be sorted by dimension; "
+                "use OgPoset.from_records for raw input")
+    for i, d in enumerate(dims):
+        if d < 0:
+            raise InvalidStructure(f"element {i} has negative dimension")
+    for i in range(n):
+        if fm[i] & fp[i]:
+            j = next(bits(fm[i] & fp[i]))
+            raise OrientationClash(
+                f"element {i} lists {j} as both a - and a + face")
+        if (fm[i] | fp[i]) >> n:
+            raise IndexOutOfRange(f"element {i} has a face out of range")
+        for j in bits(fm[i] | fp[i]):
+            if dims[j] != dims[i] - 1:
+                raise FaceDimMismatch(
+                    f"element {i} (dim {dims[i]}) has face {j} "
+                    f"of dim {dims[j]}")
+    for i in range(n):
+        if dims[i] and not (fm[i] | fp[i]):
+            raise NotGraded(
+                f"element {i}: stored dim {dims[i]} but longest "
+                f"chain has length 0")
+
+
+_MUTATIONS = ("flip", "out_of_range", "wrong_dim", "clash", "faceless",
+              "unsorted", "negative")
+
+
+def _mutate(kind, draw, dims, fm, fp):
+    n = len(dims)
+    i = draw(st.integers(0, n - 1))
+    if kind == "flip":
+        j = draw(st.integers(0, n - 1))
+        table = fm if draw(st.booleans()) else fp
+        table[i] ^= 1 << j
+    elif kind == "out_of_range":
+        fm[i] |= 1 << draw(st.integers(n, n + 3))
+    elif kind == "wrong_dim":
+        wrong = [j for j in range(n) if dims[j] != dims[i] - 1]
+        if wrong:
+            fp[i] |= 1 << draw(st.sampled_from(wrong))
+    elif kind == "clash":
+        j = draw(st.integers(0, n - 1))
+        fm[i] |= 1 << j
+        fp[i] |= 1 << j
+    elif kind == "faceless":
+        positive = [j for j in range(n) if dims[j] > 0]
+        if positive:
+            j = draw(st.sampled_from(positive))
+            fm[j] = fp[j] = 0
+    elif kind == "unsorted":
+        j = draw(st.integers(0, n - 1))
+        dims[i], dims[j] = dims[j], dims[i]
+    else:
+        dims[i] = -draw(st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_construction_raises_what_the_check_loops_raise(corpus_members, data):
+    _, p = data.draw(st.sampled_from(corpus_members))
+    dims, fm, fp = list(p.dims), list(p.faces_minus), list(p.faces_plus)
+    for kind in data.draw(st.lists(st.sampled_from(_MUTATIONS),
+                                   min_size=1, max_size=3)):
+        _mutate(kind, data.draw, dims, fm, fp)
+    try:
+        _validate_by_loops(dims, fm, fp)
+        expected = None
+    except InvalidStructure as exc:
+        expected = (type(exc), str(exc))
+    try:
+        q = OgPoset(dims, fm, fp)
+        got = None
+    except InvalidStructure as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
+    if got is None:
+        for i in range(q.size):
+            assert q.cofaces_minus[i] == sum(
+                1 << y for y in range(q.size) if fm[y] >> i & 1)
+            assert q.cofaces_plus[i] == sum(
+                1 << y for y in range(q.size) if fp[y] >> i & 1)
+            closure = 1 << i
+            for j in bits(fm[i] | fp[i]):
+                closure |= q.down[j]
+            assert q.down[i] == closure
+
+
+def test_construction_check_precedence():
+    # a clash, a face out of range and a faceless 2-cell at once: the
+    # element order decides first, and gradedness is reported last
+    with pytest.raises(OrientationClash, match="element 2 lists 0"):
+        OgPoset((0, 0, 1, 2), (0, 0, 0b01, 0), (0, 0, 0b11, 0))
+    with pytest.raises(IndexOutOfRange, match="element 3"):
+        OgPoset((0, 0, 2, 2), (0, 0, 0, 1 << 9), (0, 0, 0, 0))
+    with pytest.raises(NotGraded, match="element 2"):
+        OgPoset((0, 0, 2, 2), (0, 0, 0, 0), (0, 0, 0, 0))
+    with pytest.raises(InvalidStructure, match="sorted by dimension"):
+        OgPoset((-1, 1, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(InvalidStructure, match="element 0 has negative"):
+        OgPoset((-1, 0, 1), (0, 0, 0), (0, 0, 0))
