@@ -283,17 +283,6 @@ class OgPoset:
             mask &= ~top
         return acc
 
-    def subset(self, items: Iterable[int]) -> "ClosedSubset":
-        """Build a ClosedSubset from explicit members, checking closedness."""
-        mask = 0
-        for i in items:
-            if not (0 <= i < self.size):
-                raise IndexOutOfRange(f"element index {i} out of range")
-            mask |= 1 << i
-        if self.closure_mask(mask) != mask:
-            raise InvalidStructure("subset is not downward closed")
-        return ClosedSubset(self, mask)
-
     def whole(self) -> "ClosedSubset":
         return ClosedSubset(self, self.all_mask)
 

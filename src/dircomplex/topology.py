@@ -11,9 +11,8 @@ Homology is computed from one of two chain complexes:
   cellular homology; ``dd = 0`` there is globularity.
 
 Homology is computed over the integers from sparse boundary maps: every
-+-1 entry is eliminated as a pivot, and what is left goes to dense Smith
-normal form, with a fast machine-integer path that escalates to arbitrary
-precision when entries grow past a safety threshold.
++-1 entry is eliminated as a pivot, and what is left goes to one exact
+Smith elimination on Python integers, which never overflow.
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .ogposet import OgPoset, ClosedSubset, PosetMap, bits
-
-_OVERFLOW_LIMIT = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -180,65 +175,52 @@ def _invariants(columns: list[dict[int, int]]) -> list[int]:
                     other[g] = v
                     rows[g].add(j2)
     live = [c for c in cols if c]
-    index = {r: i for i, r in enumerate(r for r, js in rows.items() if js)}
-    rest = np.zeros((len(index), len(live)), dtype=object)
-    for j, c in enumerate(live):
-        for r, v in c.items():
-            rest[index[r], j] = v
-    return [1] * units + _snf_invariants(rest)
+    if not live:
+        return [1] * units
+    # the transpose has the same invariants: one dense row per live column
+    live_rows = [r for r, js in rows.items() if js]
+    return [1] * units + _smith_diagonal(
+        [[c.get(r, 0) for r in live_rows] for c in live])
 
 
-def _snf_invariants(mat: np.ndarray) -> list[int]:
+def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
-    Elimination with minimum-magnitude pivoting on int64; any entry past
-    the overflow limit restarts the computation on Python integers.
+    Exact elimination on a copy of the dense rows: the smallest nonzero
+    entry is the pivot, and its row and column are dropped once it divides
+    everything left.
     """
-    if mat.size == 0:
-        return []
-    try:
-        return _snf_core(mat.astype(np.int64, copy=True), check=True)
-    except OverflowError:
-        return _snf_core(mat.astype(object, copy=True), check=False)
-
-
-def _snf_core(a, check: bool) -> list[int]:
-    rows, cols = a.shape
-    t = 0
+    a = [list(row) for row in matrix]
     diag = []
-    while t < min(rows, cols):
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        # move the smallest nonzero entry to the pivot
-        vals = np.abs(sub[nz])
-        pick = int(np.argmin(vals))
-        i, j = int(nz[0][pick]) + t, int(nz[1][pick]) + t
-        if i != t:
-            a[[t, i], :] = a[[i, t], :]
-        if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
-        pivot = a[t, t]
-        col = a[t + 1:, t]
-        row = a[t, t + 1:]
-        if not col.any() and not row.any():
-            rest = a[t + 1:, t + 1:]
-            if rest.size and np.any(rest % pivot):
-                # pull a non-divisible row up so the pivot can shrink
-                bad = np.nonzero(np.any(rest % pivot, axis=1))[0][0]
-                a[t, :] += a[t + 1 + bad, :]
-                continue
-            diag.append(abs(int(pivot)))
-            t += 1
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a)
+                   for j, v in enumerate(row) if v]
+        if not nonzero:
+            return diag
+        _, i, j = min(nonzero)
+        top = a[i]
+        pivot = top[j]
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                q = row[j] // pivot
+                a[k] = [x - q * y for x, y in zip(row, top)]
+        for c, v in enumerate(top):
+            if c != j and v:
+                q = v // pivot
+                for row in a:
+                    row[c] -= q * row[j]
+        if any(v for c, v in enumerate(top) if c != j) or \
+                any(row[j] for k, row in enumerate(a) if k != i):
+            continue  # remainders are left, each smaller than the pivot
+        # pull a non-divisible row up so the pivot can shrink
+        bad = next((row for row in a if any(v % pivot for v in row)), None)
+        if bad is not None:
+            a[i] = [x + y for x, y in zip(top, bad)]
             continue
-        q = col // pivot
-        a[t + 1:, :] -= np.outer(q, a[t, :])
-        q = a[t, t + 1:] // pivot
-        a[:, t + 1:] -= np.outer(a[:, t], q)
-        if check and np.abs(a).max() > _OVERFLOW_LIMIT:
-            raise OverflowError
-    return diag
+        diag.append(abs(pivot))
+        del a[i]
+        for row in a:
+            del row[j]
 
 
 def homology(k: Union[SimplicialComplex, ChainComplex]

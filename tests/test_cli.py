@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dircomplex
 from dircomplex import OgPoset, globe, simplex, gen_corpus
 from dircomplex.cli import run, export_dot
 
@@ -219,3 +223,24 @@ def test_wrong_parameter_count_is_a_usage_error(capsys, argv):
     assert code == 2 and not out
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"usage: {argv[0]} {argv[1]} takes ")
+
+
+def test_cli_process_never_imports_numpy(tmp_path):
+    # a cold process would pay ~0.1 s for numpy's import; nothing needs it,
+    # not even the Smith kernel behind homology
+    f = tmp_path / "d3.json"
+    f.write_text(simplex(3).to_json())
+    code = (
+        "import sys\n"
+        "from dircomplex.cli import run\n"
+        "from dircomplex.topology import _smith_diagonal\n"
+        f"assert run(['check', 'molecule', {str(f)!r}]) == 0\n"
+        f"assert run(['topo', 'homology', {str(f)!r}]) == 0\n"
+        "assert _smith_diagonal([[2, 4], [4, 8]]) == [2]\n"
+        "assert 'numpy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(dircomplex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

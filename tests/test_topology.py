@@ -4,13 +4,13 @@ from dircomplex import (
     globe, simplex, cube, globe_tau, is_regular_complex,
 )
 from dircomplex.topology import (
-    ChainComplex, SimplicialComplex, chain_complex, _snf_invariants,
+    ChainComplex, SimplicialComplex, chain_complex, _smith_diagonal,
     sphere_signature, ball_signature, _matches,
 )
 from hypothesis import given, settings, strategies as st
+from math import gcd
 import itertools
 import json
-import numpy as np
 import pytest
 
 POINT = OgPoset.point()
@@ -52,19 +52,63 @@ def test_check_dd_zero_detects_nonzero_composite():
 
 
 def test_smith_invariants_known_matrices():
-    assert _snf_invariants(np.array([[2, 4], [4, 8]], dtype=np.int64)) == [2]
-    assert _snf_invariants(np.array([[2, 0], [0, 3]], dtype=np.int64)) \
-        == [1, 6]
-    assert _snf_invariants(np.zeros((3, 3), dtype=np.int64)) == []
+    assert _smith_diagonal([[2, 4], [4, 8]]) == [2]
+    assert _smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert _smith_diagonal([[0] * 3 for _ in range(3)]) == []
     # projective-plane style torsion: Z/2 from a doubled boundary
-    assert _snf_invariants(np.array([[2]], dtype=np.int64)) == [2]
+    assert _smith_diagonal([[2]]) == [2]
+    assert _smith_diagonal([]) == []
 
 
-def test_smith_overflow_escalates():
-    big = np.array([[2 ** 61, 1], [1, 2 ** 61]], dtype=object)
-    from dircomplex.topology import _snf_core
-    diag = _snf_core(big, check=False)
-    assert len(diag) == 2
+def test_smith_big_entries_are_exact():
+    # the determinant 2**122 - 1 is far past any machine integer
+    assert _smith_diagonal([[2 ** 61, 1], [1, 2 ** 61]]) == [1, 2 ** 122 - 1]
+    # an int64 elimination wraps 2**40 * 2**40 around; the answer is 7
+    assert _smith_diagonal([[3, 4, -1058041413109],
+                            [2, 717408329769, 1]]) == [1, 7]
+
+
+def _det(m):
+    """Leibniz determinant, exact on Python integers."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = -1 if sum(a > b for a, b in
+                         itertools.combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _determinantal_invariants(m):
+    """Smith invariants by definition: d_k = D_k / D_(k-1), where D_k is
+    the gcd of the k x k minors, up to the rank."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                dk = gcd(dk, _det([[m[i][j] for j in cs] for i in rs]))
+        if not dk:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
+# small entries make rank drops and torsion likely, big ones test exactness
+_entry = st.one_of(st.integers(-12, 12), st.integers(-2 ** 62, 2 ** 62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4))
+def test_smith_matches_determinantal_divisors(data, rows, cols):
+    m = data.draw(st.lists(st.lists(_entry, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    copy = [list(r) for r in m]
+    assert _smith_diagonal(m) == _determinantal_invariants(m)
+    assert m == copy  # the kernel works on its own copy
 
 
 def test_homology_point_ball_spheres():
@@ -101,13 +145,13 @@ def _dense_homology(k: SimplicialComplex):
     counts = k.counts()
     inv = []
     for d, level in enumerate(k.simplices):
-        m = np.zeros((counts[d - 1] if d else 0, len(level)), dtype=np.int64)
+        m = [[0] * len(level) for _ in range(counts[d - 1] if d else 0)]
         if d:
             index = {c: i for i, c in enumerate(k.simplices[d - 1])}
             for j, c in enumerate(level):
                 for i in range(len(c)):
-                    m[index[c[:i] + c[i + 1:]], j] += (-1) ** i
-        inv.append(_snf_invariants(m))
+                    m[index[c[:i] + c[i + 1:]]][j] += (-1) ** i
+        inv.append(_smith_diagonal(m))
     inv.append([])
     return [(n - len(inv[d]) - len(inv[d + 1]),
              sorted(x for x in inv[d + 1] if x > 1))
