@@ -75,16 +75,17 @@ _SHAPES = {
 }
 
 
-def _arity_error(what: str, count: int, params: list[int]) -> int:
-    print(f"usage: {what} takes {count} parameter{'s' * (count != 1)}, "
-          f"got {len(params)}", file=sys.stderr)
+def _arity_error(what: str, counts: tuple[int, ...], params: list) -> int:
+    print(f"usage: {what} takes {' or '.join(map(str, counts))} "
+          f"parameter{'s' * (counts != (1,))}, got {len(params)}",
+          file=sys.stderr)
     return 2
 
 
 def _cmd_shape(args) -> int:
     count, build = _SHAPES[args.family]
     if len(args.params) != count:
-        return _arity_error(f"shape {args.family}", count, args.params)
+        return _arity_error(f"shape {args.family}", (count,), args.params)
     _emit_complex(build(*args.params))
     return 0
 
@@ -92,7 +93,7 @@ def _cmd_shape(args) -> int:
 def _cmd_map(args) -> int:
     name = args.name
     if len(args.params) != 1:
-        return _arity_error(f"map {name}", 1, args.params)
+        return _arity_error(f"map {name}", (1,), args.params)
     n = args.params[0]
     if name == "a":
         m = shapes.folding_a(n)
@@ -142,47 +143,45 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _op_subst(u: str, v: str, w: str):
+    p = _read_complex(u)
+    return construct.substitute(p, _subset(p, v), _read_complex(w))
+
+
+# verb -> (operand counts, constructor call, emitted map -> attribute of the
+# result); the call returns the complex or a result holding it as ``whole``
+_OPS = {
+    "paste": ((3,), lambda u, v, k: construct.paste(
+        _read_complex(u), _read_complex(v), int(k)),
+        {"left": "left_incl", "right": "right_incl"}),
+    "gray": ((2,), lambda u, v: construct.gray(
+        _read_complex(u), _read_complex(v)), {}),
+    "join": ((2,), lambda u, v: construct.join(
+        _read_complex(u), _read_complex(v)), {}),
+    "suspend": ((1,), lambda u: construct.suspend(_read_complex(u)), {}),
+    "dual": ((1, 2), lambda u, dims=None: construct.dual(
+        _read_complex(u),
+        [] if dims is None else [int(s) for s in dims.split(",")]), {}),
+    "inflate": ((1,), lambda u: construct.inflate(_read_complex(u)),
+                {"tau": "tau", "iota_minus": "iota_minus",
+                 "iota_plus": "iota_plus"}),
+    "celto": ((2,), lambda u, v: construct.celto(
+        _read_complex(u), _read_complex(v)),
+        {"minus": "minus_incl", "plus": "plus_incl"}),
+    "compos": ((1,), lambda u: construct.compos(_read_complex(u)), {}),
+    "subst": ((3,), _op_subst, {"w": "w_incl"}),
+}
+
+
 def _cmd_op(args) -> int:
-    name = args.operation
-    files = args.args
-    maps = {}
-    if name == "paste":
-        res = construct.paste(_read_complex(files[0]),
-                              _read_complex(files[1]), int(files[2]))
-        built = res.whole
-        maps = {"left": res.left_incl, "right": res.right_incl}
-    elif name == "gray":
-        built = construct.gray(_read_complex(files[0]), _read_complex(files[1]))
-    elif name == "join":
-        built = construct.join(_read_complex(files[0]), _read_complex(files[1]))
-    elif name == "suspend":
-        built = construct.suspend(_read_complex(files[0]))
-    elif name == "dual":
-        dims = [int(s) for s in files[1].split(",")] if len(files) > 1 else []
-        built = construct.dual(_read_complex(files[0]), dims)
-    elif name == "inflate":
-        res = construct.inflate(_read_complex(files[0]))
-        built = res.whole
-        maps = {"tau": res.tau, "iota_minus": res.iota_minus,
-                "iota_plus": res.iota_plus}
-    elif name == "celto":
-        res = construct.celto(_read_complex(files[0]), _read_complex(files[1]))
-        built = res.whole
-        maps = {"minus": res.minus_incl, "plus": res.plus_incl}
-    elif name == "compos":
-        built = construct.compos(_read_complex(files[0]))
-    elif name == "subst":
-        u = _read_complex(files[0])
-        v = _subset(u, files[1])
-        w = _read_complex(files[2])
-        res = construct.substitute(u, v, w)
-        built = res.whole
-        maps = {"w": res.w_incl}
-    else:
-        raise SystemExit(2)
-    _emit_complex(built)
+    counts, build, maps = _OPS[args.operation]
+    if len(args.args) not in counts:
+        return _arity_error(f"op {args.operation}", counts, args.args)
+    res = build(*args.args)
+    _emit_complex(res if isinstance(res, OgPoset) else res.whole)
     if args.emit_maps and maps:
-        _emit({k: list(m.assignment) for k, m in maps.items()}, True)
+        _emit({k: list(getattr(res, attr).assignment)
+               for k, attr in maps.items()}, True)
     return 0
 
 
@@ -261,10 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=_cmd_check)
 
     opp = sub.add_parser("op", help="apply a constructor")
-    opp.add_argument("operation",
-                     choices=["paste", "gray", "join", "suspend", "dual",
-                              "inflate", "celto", "compos", "subst"])
-    opp.add_argument("args", nargs="+")
+    opp.add_argument("operation", choices=list(_OPS))
+    opp.add_argument("args", nargs="*")
     opp.add_argument("--emit-maps", action="store_true")
     opp.set_defaults(func=_cmd_op)
 

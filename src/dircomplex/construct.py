@@ -406,66 +406,73 @@ def cylinder_quotient(p: OgPoset, v: ClosedSubset
     """Collapse the cylinder over p onto p along the fibres over v.
 
     In the product arrow x p, each fibre {source, edge, target} x {x} with
-    x in v becomes a single element.  The quotient inherits dimensions from
-    the collapsed representatives and orientations from any product
-    covering edge between distinct classes one dimension apart.
+    x in v becomes a single element.  The cylinder is built only as the
+    source of the quotient map.
     """
-    quot, q, _ = _cylinder_quotient(p, v)
-    return quot, q
+    quot, cls = _cylinder_quotient(p, v)
+    cyl, idx = gray_with_index(_O1, p)
+    assign = [0] * cyl.size
+    for key, n in idx.items():
+        assign[n] = cls[key]
+    return quot, PosetMap(cyl, quot, tuple(assign))
 
 
-def _cylinder_quotient(p: OgPoset, v: ClosedSubset) -> tuple[
-        OgPoset, PosetMap, dict[tuple[int, int], int]]:
-    """cylinder_quotient plus the index of the arrow x p product it built."""
+def _cylinder_quotient(p: OgPoset, v: ClosedSubset
+                       ) -> tuple[OgPoset, dict[tuple[int, int], int]]:
+    """The cylinder quotient, built from its classes, and ``cls[(i, x)]``,
+    the class of the cylinder element (i, x) (i = 0, 1 the ends, 2 the edge).
+
+    The classes are (0, x) for every x and (1, x), (2, x) for x outside v,
+    numbered in the cylinder's own (dimension, i, x) order.  An end copy
+    takes the faces of x in its own copy, a face in v named by its copy 0.
+    The edge over x has (0, x) as - face, (1, x) as + face, and the edges
+    over the faces of x outside v with their signs swapped; edges over
+    faces in v fall two dimensions and drop out.  For a closed v no edge
+    gets both signs: between two collapsed classes the cylinder has only
+    copy-0/copy-1 pairs, with equal signs, and edge/edge pairs, dropped.
+    """
     if v.parent != p:
         raise NotClosed("v must be a subset of p")
-    if p.closure_mask(v.mask) != v.mask:
+    vm = v.mask
+    if p.closure_mask(vm) != vm:
         raise NotClosed("v is not closed")
-    cyl, idx = gray_with_index(_O1, p)
+    order = sorted([(d, 0, x) for x, d in enumerate(p.dims)]
+                   + [(d + i - 1, i, x) for x, d in enumerate(p.dims)
+                      if not vm >> x & 1 for i in (1, 2)])
+    cls = {(i, x): n for n, (_, i, x) in enumerate(order)}
+    for x in bits(vm):
+        cls[(1, x)] = cls[(2, x)] = cls[(0, x)]
 
-    # fibres over distinct base elements never overlap, so representatives
-    # can be assigned directly; a fibre's least index is its base-copy
-    # vertex side (0, x), of the lowest dimension in the fibre
-    rep = list(range(cyl.size))
-    collapsed_top = 0
-    for x in bits(v.mask):
-        a, b, c = idx[(0, x)], idx[(1, x)], idx[(2, x)]
-        rep[a] = rep[b] = rep[c] = a
-        collapsed_top |= 1 << c
+    def image(i, mask):
+        return sum(1 << cls[(i, y)] for y in bits(mask))
 
-    # product indices ascend by dimension, so the kept representatives in
-    # index order are the classes in (dimension, representative) order
-    order = [x for x in range(cyl.size) if rep[x] == x]
-    pos = {r: i for i, r in enumerate(order)}
-    dims = [cyl.dims[r] for r in order]
+    fm, fp = [], []
+    for _, i, x in order:
+        if i < 2:
+            fm.append(image(i, p.faces_minus[x]))
+            fp.append(image(i, p.faces_plus[x]))
+        else:
+            fm.append(1 << cls[(0, x)] | image(2, p.faces_plus[x] & ~vm))
+            fp.append(1 << cls[(1, x)] | image(2, p.faces_minus[x] & ~vm))
+    return OgPoset([d for d, _, _ in order], fm, fp), cls
 
-    fm = [0] * len(order)
-    fp = [0] * len(order)
-    sign_seen: dict[tuple[int, int], int] = {}
-    for y in range(cyl.size):
-        ry = rep[y]
-        for sgn, faces in ((-1, cyl.faces_minus[y]), (+1, cyl.faces_plus[y])):
-            for x in bits(faces):
-                rx = rep[x]
-                if rx == ry:
-                    continue
-                if cyl.dims[ry] != cyl.dims[rx] + 1:
-                    continue  # implied by shorter edges after collapse
-                if (collapsed_top >> y & 1) and (collapsed_top >> x & 1):
-                    # edge between the top copies of two collapsed fibres:
-                    # its twisted sign loses to the base-copy representatives
-                    continue
-                key = (pos[ry], pos[rx])
-                if sign_seen.setdefault(key, sgn) != sgn:
-                    raise BoundaryMismatch(
-                        "cylinder quotient produced an orientation clash")
-                if sgn < 0:
-                    fm[pos[ry]] |= 1 << pos[rx]
-                else:
-                    fp[pos[ry]] |= 1 << pos[rx]
-    quot = OgPoset(dims, fm, fp)
-    q = PosetMap(cyl, quot, tuple(pos[rep[x]] for x in range(cyl.size)))
-    return quot, q, idx
+
+def _agreeing_map(source: OgPoset, target: OgPoset, clauses, message: str
+                  ) -> PosetMap:
+    """The map given by (element, image) clauses that must agree."""
+    assign = [None] * source.size
+    for x, a in clauses:
+        if assign[x] is None:
+            assign[x] = a
+        elif assign[x] != a:
+            raise BoundaryMismatch(message)
+    return PosetMap(source, target, tuple(assign))  # type: ignore[arg-type]
+
+
+def _collapse(quot: OgPoset, p: OgPoset, cls) -> PosetMap:
+    """A cylinder quotient over p onto p: each class to its base element."""
+    base = {n: x for (_, x), n in cls.items()}
+    return PosetMap(quot, p, tuple(base[n] for n in range(quot.size)))
 
 
 @dataclass(frozen=True)
@@ -479,20 +486,16 @@ class InflateResult:
 def inflate(u: OgPoset) -> InflateResult:
     """The cylinder over u collapsed along the whole boundary: u => u as a
     shape, with its retraction and the two boundary inclusions."""
-    quot, q, idx = _inflation(u)
-    tau_assign = [0] * quot.size
-    for (i, x), n in idx.items():
-        tau_assign[q(n)] = x
-    tau = PosetMap(quot, u, tuple(tau_assign))
-    iminus = PosetMap(u, quot, tuple(q(idx[(0, x)]) for x in range(u.size)))
-    iplus = PosetMap(u, quot, tuple(q(idx[(1, x)]) for x in range(u.size)))
+    quot, cls = _inflation(u)
+    tau = _collapse(quot, u, cls)
+    iminus = PosetMap(u, quot, tuple(cls[(0, x)] for x in range(u.size)))
+    iplus = PosetMap(u, quot, tuple(cls[(1, x)] for x in range(u.size)))
     return InflateResult(quot, tau, iminus, iplus)
 
 
-def _inflation(u: OgPoset
-               ) -> tuple[OgPoset, PosetMap, dict[tuple[int, int], int]]:
-    """The inflation of u as a quotient of its cylinder, with the quotient
-    map and the cylinder's product index."""
+def _inflation(u: OgPoset) -> tuple[OgPoset, dict[tuple[int, int], int]]:
+    """The inflation of u as a quotient of its cylinder, with the class of
+    every cylinder element."""
     _require_spherical(_require_molecule(u))
     return _cylinder_quotient(u, u.whole().boundary())
 
@@ -503,17 +506,11 @@ def inflate_map(p: PosetMap) -> PosetMap:
         raise ValueError("inflation lifts only same-dimensional surjections")
     if not p.is_surjective:
         raise ValueError("inflation lifts only surjections")
-    squot, sq, sidx = _inflation(p.source)
-    tquot, tq, tidx = _inflation(p.target)
-    assign = [None] * squot.size
-    for (i, x), n in sidx.items():
-        a = tq(tidx[(i, p(x))])
-        c = sq(n)
-        if assign[c] is None:
-            assign[c] = a
-        elif assign[c] != a:
-            raise BoundaryMismatch("map does not descend to the quotient")
-    return PosetMap(squot, tquot, tuple(assign))
+    squot, scls = _inflation(p.source)
+    tquot, tcls = _inflation(p.target)
+    return _agreeing_map(
+        squot, tquot, ((c, tcls[(i, p(x))]) for (i, x), c in scls.items()),
+        "map does not descend to the quotient")
 
 
 def unitor_shape(u: OgPoset, v: ClosedSubset, side: str, sign: int
@@ -539,11 +536,8 @@ def unitor_shape(u: OgPoset, v: ClosedSubset, side: str, sign: int
     if cb is None or find_submolecule(cv, cb) is None:
         raise NotASubmolecule(f"v is not a submolecule of the {side} boundary")
     w = u.whole().boundary() - (v - v.boundary())
-    shape, q, idx = _cylinder_quotient(u, w)
-    retr_assign = [0] * shape.size
-    for (i, x), n in idx.items():
-        retr_assign[q(n)] = x
-    retr = PosetMap(shape, u, tuple(retr_assign))
+    shape, cls = _cylinder_quotient(u, w)
+    retr = _collapse(shape, u, cls)
     base_sign = +1 if side == "left" else -1
     if sign == base_sign:
         return shape, retr

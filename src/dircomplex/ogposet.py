@@ -363,8 +363,8 @@ class ClosedSubset:
 
         Default n is dim - 1.  An element of dimension n is a +-face when no
         member (of dimension n + 1) covers it with a - edge, and dually; on
-        top of the closure of those, every member not below anything of
-        dimension > n belongs to either boundary.
+        top of those, every member not below anything of dimension > n
+        belongs to either boundary, and the boundary is the closure of both.
         """
         p, mask, dim = self.parent, self.mask, self.dim
         if n is None:
@@ -387,7 +387,7 @@ class ClosedSubset:
             sb = p.closure_mask(mask & p._dim_masks[n] & keep)
         under_higher = p.closure_mask(
             mask & (p._above[n] if n >= 0 else p.all_mask))
-        return ClosedSubset(p, sb | (mask & ~under_higher))
+        return ClosedSubset(p, sb | p.closure_mask(mask & ~under_higher))
 
     def extract(self) -> tuple[OgPoset, "PosetMap"]:
         """Standalone copy of this subset plus its inclusion map."""

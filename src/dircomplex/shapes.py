@@ -18,7 +18,7 @@ from .ogposet import (
 )
 from .construct import (
     BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
-    gray, inflate, inflate_map, _boundary_pairing,
+    gray, inflate, inflate_map, _agreeing_map, _boundary_pairing,
 )
 
 
@@ -211,16 +211,12 @@ def fatten(p: PosetMap) -> PosetMap:
     if u.dim != v.dim + 1 or not p.is_surjective:
         raise ValueError("fatten needs a surjection with dimension drop 1")
     inf = inflate(v)
-    assign: list[Optional[int]] = [None] * u.size
-    for x in bits(u.whole().boundary(-1).mask):
-        assign[x] = inf.iota_minus(p(x))
-    for x in bits(u.whole().boundary(+1).mask):
-        a = inf.iota_plus(p(x))
-        if assign[x] is not None and assign[x] != a:
-            raise BoundaryMismatch("boundary images disagree on the overlap")
-        assign[x] = a
-    assign[u.whole().greatest()] = inf.whole.size - 1
-    return PosetMap(u, inf.whole, tuple(assign))  # type: ignore[arg-type]
+    clauses = [(u.whole().greatest(), inf.whole.size - 1)]
+    for sign, iota in ((-1, inf.iota_minus), (+1, inf.iota_plus)):
+        clauses += [(x, iota(p(x)))
+                    for x in bits(u.whole().boundary(sign).mask)]
+    return _agreeing_map(u, inf.whole, clauses,
+                         "boundary images disagree on the overlap")
 
 
 @lru_cache(maxsize=None)
@@ -337,22 +333,15 @@ def compositor_c(n: int, k: int) -> CompositorResult:
     whole, j_pair, j_inf = amalgamate(pair_n.whole, inf.whole, {
         bd_incl(iso(x)): inf.iota_minus(prev.incl(x))
         for x in range(pair_m.whole.size)})
-    retr_assign: list[Optional[int]] = [None] * whole.size
-    for x in range(pair_n.whole.size):
-        retr_assign[j_pair(x)] = x
     # the inflated tower collapses through tau and the previous retraction,
     # then includes along the shared output boundary of the globe pair
     collapse = inf.tau.then(prev.retr)
-    pm_to_pair = {x: bd_incl(iso(x)) for x in range(pair_m.whole.size)}
-    for y in range(inf.whole.size):
-        t = collapse(y)
-        want = pm_to_pair[t]
-        cur = retr_assign[j_inf(y)]
-        if cur is None:
-            retr_assign[j_inf(y)] = want
-        elif cur != want:
-            raise BoundaryMismatch("compositor retraction is inconsistent")
-    retr = PosetMap(whole, pair_n.whole, tuple(retr_assign))  # type: ignore
+    retr = _agreeing_map(
+        whole, pair_n.whole,
+        [(j_pair(x), x) for x in range(pair_n.whole.size)]
+        + [(j_inf(y), bd_incl(iso(collapse(y))))
+           for y in range(inf.whole.size)],
+        "compositor retraction is inconsistent")
     incl = PosetMap(pair_n.whole, whole, j_pair.assignment)
     return CompositorResult(whole, incl, retr)
 
@@ -406,25 +395,21 @@ def extr(k: int, n: int) -> ExtrResult:
 
     osprec = _iterated_inflate_map(sprec(n), k - 1)
     top_prev = tower_prev.whole().greatest()
-    assign = [None] * whole.size
 
-    def put(i, val):
-        if assign[i] is None:
-            assign[i] = val
-        elif assign[i] != val:
-            raise BoundaryMismatch("retraction clauses disagree")
+    def clauses():
+        for x in range(base.size):
+            yield ja(a.minus_incl(x)), inf.iota_minus(osprec(x))
+            yield jb(b.plus_incl(x)), inf.iota_plus(osprec(x))
+        for e in range(prev.whole.size):
+            yield ja(a.plus_incl(e)), inf.iota_minus(prev.retr(e))
+            yield jb(b.minus_incl(e)), inf.iota_plus(prev.retr(e))
+        yield ja(a.top), inf.iota_minus(top_prev)
+        yield jb(b.top), inf.iota_plus(top_prev)
+        for y in range(inf.whole.size):
+            yield jm(y), y
 
-    for x in range(base.size):
-        put(ja(a.minus_incl(x)), inf.iota_minus(osprec(x)))
-        put(jb(b.plus_incl(x)), inf.iota_plus(osprec(x)))
-    for e in range(prev.whole.size):
-        put(ja(a.plus_incl(e)), inf.iota_minus(prev.retr(e)))
-        put(jb(b.minus_incl(e)), inf.iota_plus(prev.retr(e)))
-    put(ja(a.top), inf.iota_minus(top_prev))
-    put(jb(b.top), inf.iota_plus(top_prev))
-    for y in range(inf.whole.size):
-        put(jm(y), y)
-    retr = PosetMap(whole, inf.whole, tuple(assign))  # type: ignore
+    retr = _agreeing_map(whole, inf.whole, clauses(),
+                         "retraction clauses disagree")
     return ExtrResult(whole, PosetMap(inf.whole, whole, jm.assignment), retr)
 
 
@@ -458,18 +443,12 @@ def extrtil(k: int, n: int) -> ExtrTilResult:
     sub = substitute(e.whole, v, t.whole)
 
     bmap = _boundary_pairing(tower.whole(), t.whole.whole())
-    assign: list[Optional[int]] = [None] * sub.whole.size
-    for w_i in range(t.whole.size):
-        assign[sub.w_incl(w_i)] = w_i
-    for x, res_i in sub.kept.items():
-        m_i = e.retr(x)
-        if m_i in bmap:
-            want = bmap[m_i]
-            if assign[res_i] is None:
-                assign[res_i] = want
-            elif assign[res_i] != want:
-                raise BoundaryMismatch("induced retraction is inconsistent")
-    rt = PosetMap(sub.whole, t.whole, tuple(assign))  # type: ignore
+    rt = _agreeing_map(
+        sub.whole, t.whole,
+        [(sub.w_incl(w_i), w_i) for w_i in range(t.whole.size)]
+        + [(res_i, bmap[e.retr(x)]) for x, res_i in sub.kept.items()
+           if e.retr(x) in bmap],
+        "induced retraction is inconsistent")
     return ExtrTilResult(sub.whole, t.globe_incl.then(sub.w_incl),
                          rt.then(t.retr))
 

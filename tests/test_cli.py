@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import dircomplex
-from dircomplex import OgPoset, globe, simplex, gen_corpus
+from dircomplex import OgPoset, dual, globe, simplex, gen_corpus
 from dircomplex.cli import run, export_dot
 
 
@@ -223,6 +223,32 @@ def test_wrong_parameter_count_is_a_usage_error(capsys, argv):
     assert code == 2 and not out
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"usage: {argv[0]} {argv[1]} takes ")
+
+
+@pytest.mark.parametrize("operands", [
+    ["paste", "g2", "g2"], ["gray", "g2"], ["join", "g2"], ["suspend"],
+    ["dual"], ["inflate"], ["celto", "g2"], ["compos"], ["subst", "g2", "0"],
+], ids=lambda a: a[0])
+def test_op_with_too_few_operands_is_a_usage_error(tmp_path, capsys, operands):
+    g2 = tmp_path / "g2.json"
+    g2.write_text(globe(2).to_json())
+    verb, *rest = operands
+    code, out, err = invoke(
+        capsys, "op", verb, *(str(g2) if a == "g2" else a for a in rest))
+    assert code == 2 and not out
+    assert err.startswith(f"usage: op {verb} takes ") and "Traceback" not in err
+
+
+def test_op_dual_takes_one_or_two_operands(tmp_path, capsys):
+    g2 = tmp_path / "g2.json"
+    g2.write_text(globe(2).to_json())
+    code, out, _ = invoke(capsys, "op", "dual", str(g2))
+    assert code == 0 and OgPoset.from_json(out) == globe(2)
+    code, out, _ = invoke(capsys, "op", "dual", str(g2), "2")
+    assert code == 0 and OgPoset.from_json(out) == dual(globe(2), [2])
+    code, out, err = invoke(capsys, "op", "dual", str(g2), "1", "2")
+    assert code == 2 and not out
+    assert err.startswith("usage: op dual takes 1 or 2 parameters, got 3")
 
 
 def test_cli_process_never_imports_numpy(tmp_path):

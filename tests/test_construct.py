@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from dircomplex import (
     cylinder_quotient, inflate, inflate_map, unitor_shape, reverse_map,
     BoundaryMismatch, NotAMolecule, NotASubmolecule, NotSpherical,
     NotClosed,
-    globe, simplex, cube, globe_element, compositor_c, extrtil, phi,
+    globe, simplex, cube, globe_element, compositor_c, extr, extrtil, phi,
+    folding_a,
 )
 from dircomplex.construct import (
     amalgamate, gray_with_index, join_with_index, suspend_map, _with_bottom,
@@ -92,9 +94,19 @@ def test_amalgamate_numbering():
     assert pr.whole.faces_plus == (0, 0, 0, 0b010, 0b100)
 
 
+def _canonical(x):
+    if isinstance(x, OgPoset):
+        return x.to_json()
+    return json.dumps(x.to_json_obj(), separators=(",", ":"))
+
+
 def test_glued_outputs_pinned():
     vert2 = paste(globe(2), globe(2), 1).whole
     cell = next(i for i in range(vert2.size) if vert2.dims[i] == 2)
+    inf = inflate(cube(3))
+    s2 = simplex(2)
+    unit, unit_retr = unitor_shape(
+        s2, s2.closure([s2.whole().boundary(-1).maximal()[0]]), "left", -1)
     outputs = {
         "68e84eb35144da57f119ea276242eb9aa10aca8cd58032e4810cd7576dc65118":
             compositor_c(4, 1).whole,
@@ -106,9 +118,22 @@ def test_glued_outputs_pinned():
             celto(globe(2), vert2).whole,
         "39f475ed5f012f30728dbe5e8dd1a1a70bb71ae3b363b8413664ef3b9b988427":
             substitute(vert2, vert2.closure([cell]), vert2).whole,
+        # cylinder quotients: inflations, their towers and maps, a unit
+        "b061106ca6a91d64e16f7ab2b3dbbf1a4aa52b8efe829739b4c0db4d037d9bec":
+            inf.whole,
+        "3d98960f42105d7754133488b89bbc31c1ff1b842b7331bb3589467e5e372635":
+            inf.tau,
+        "f1020a4d42a51cada25c916559e161b151bd551d8779bc3ae3ccfb96810b02cb":
+            extr(1, 3).whole,
+        "abcef6ce36dcecc25e0116b3b285abf5eb79f988d6f1d0de448655127fd4a39a":
+            inflate_map(folding_a(3)),
+        "93737efb5c5b688c3734ee627df108ff716eaf78b701050133289423c9a0a54d":
+            unit,
+        "005449624d9e60259638123ec73db8ea9816eae3cc8c4adff4a1defd7d198dac":
+            unit_retr,
     }
-    for digest, p in outputs.items():
-        assert hashlib.sha256(p.to_json().encode()).hexdigest() == digest
+    for digest, x in outputs.items():
+        assert hashlib.sha256(_canonical(x).encode()).hexdigest() == digest
 
 
 def test_paste_along_whiskering():
@@ -376,6 +401,57 @@ def test_cylinder_quotient_rejects_non_closed():
     p = simplex(2)
     with pytest.raises(NotClosed):
         cylinder_quotient(p, ClosedSubset(p, 1 << (p.size - 1)))
+
+
+def _quotient_by_collapse(p, v):
+    """The cylinder quotient by collapsing the whole cylinder: every fibre
+    over v is one class, and the quotient keeps each covering edge of the
+    cylinder between two classes one dimension apart, except the edges
+    between two collapsed edge copies, whose twisted signs lose."""
+    cyl, idx = gray_with_index(globe(1), p)
+    rep = list(range(cyl.size))
+    collapsed_top = 0
+    for x in bits(v.mask):
+        a, b, c = idx[(0, x)], idx[(1, x)], idx[(2, x)]
+        rep[a] = rep[b] = rep[c] = a
+        collapsed_top |= 1 << c
+    order = [x for x in range(cyl.size) if rep[x] == x]
+    pos = {r: i for i, r in enumerate(order)}
+    fm = [0] * len(order)
+    fp = [0] * len(order)
+    sign_seen = {}
+    for y in range(cyl.size):
+        ry = rep[y]
+        for sgn, faces in ((-1, cyl.faces_minus[y]), (+1, cyl.faces_plus[y])):
+            for x in bits(faces):
+                rx = rep[x]
+                if rx == ry or cyl.dims[ry] != cyl.dims[rx] + 1:
+                    continue
+                if collapsed_top >> y & 1 and collapsed_top >> x & 1:
+                    continue
+                key = (pos[ry], pos[rx])
+                assert sign_seen.setdefault(key, sgn) == sgn, key
+                if sgn < 0:
+                    fm[pos[ry]] |= 1 << pos[rx]
+                else:
+                    fp[pos[ry]] |= 1 << pos[rx]
+    quot = OgPoset([cyl.dims[r] for r in order], fm, fp)
+    return quot, tuple(pos[rep[x]] for x in range(cyl.size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cylinder_quotient_matches_the_collapse(corpus_members, data):
+    _, p = data.draw(st.sampled_from(corpus_members))
+    v = p.closure(data.draw(st.lists(st.integers(0, p.size - 1), max_size=4)))
+    if data.draw(st.booleans()):
+        v = p.whole().boundary()
+    quot, q = cylinder_quotient(p, v)
+    ref, ref_assign = _quotient_by_collapse(p, v)
+    assert quot.to_json() == ref.to_json()
+    assert q.assignment == ref_assign
+    assert q.source == gray(globe(1), p) and q.target is quot
+    q.check()
 
 
 def test_inflate_laws():
