@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .ogposet import OgPoset, ClosedSubset, InvalidStructure, bits
@@ -32,7 +33,18 @@ def _read_complex(path: str) -> OgPoset:
 def _subset(p: OgPoset, selector: str | None) -> ClosedSubset:
     if not selector:
         return p.whole()
-    return p.closure(int(s) for s in selector.split(","))
+    items = []
+    for token in selector.split(","):
+        try:
+            i = int(token)
+        except ValueError:
+            i = -1
+        if not 0 <= i < p.size:
+            print(f"usage: {token!r} is not an element index "
+                  f"(0 to {p.size - 1})", file=sys.stderr)
+            raise SystemExit(2)
+        items.append(i)
+    return p.closure(items)
 
 
 def export_dot(p: OgPoset) -> str:
@@ -197,16 +209,22 @@ def _cmd_topo(args) -> int:
                "simplices": [[list(c) for c in lv] for lv in k.simplices]},
               args.json)
         return 0
+    # a greatest element makes the nerve a cone: a point's homology
+    cone = sub.greatest() is not None
     if verb == "homology":
-        # one generator per element is exact only on regular input; the
-        # nerve holds for any poset
-        k = (topology.cell_complex(sub) if is_regular_complex(sub)
-             else topology.nerve(sub))
-        h = topology.homology(k)
+        # one generator per element is exact only when every member is
+        # cellular; the nerve holds for any poset
+        if cone:
+            h = [(1, [])] + [(0, [])] * sub.dim
+        elif all(cell for _, _, cell in topology._cell_pass(p, sub.mask)):
+            h = topology.homology(topology.cell_complex(sub))
+        else:
+            h = topology.homology(topology.nerve(sub))
         _emit({"H": [{"betti": b, "torsion": t} for b, t in h]}, args.json)
         return 0
     if verb == "euler":
-        _emit({"euler": topology.euler(topology.nerve(sub))}, args.json)
+        _emit({"euler": 1 if cone else topology.euler(topology.nerve(sub))},
+              args.json)
         return 0
     if verb == "cwcheck":
         rep = topology.face_poset_roundtrip(p)
@@ -297,12 +315,18 @@ _PARSER = build_parser()
 
 
 def run(argv) -> int:
+    """One CLI invocation in this process; returns the exit code.
+
+    A closed stdout pipe raises ``BrokenPipeError``; ``main`` handles it.
+    """
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (InvalidStructure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -311,7 +335,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, which is no error; stdout goes to
+        # devnull so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

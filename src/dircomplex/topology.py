@@ -4,11 +4,18 @@ Homology is computed from one of two chain complexes:
 
 - the nerve of a poset, its order complex of strictly increasing chains,
   which is the barycentric subdivision and needs no assumption;
-- the cellular complex of a regular directed complex (Steiner's complex),
-  with one generator per element and boundary ``x+ - x-`` over its
-  codimension-1 faces.  A regular directed complex realizes as a regular
-  CW complex, and on one any +-1 incidence with ``dd = 0`` computes
-  cellular homology; ``dd = 0`` there is globularity.
+- the cellular complex (Steiner's complex), with one generator per element
+  and boundary ``x+ - x-`` over its codimension-1 faces.  It computes the
+  homology of the nerve on a closed subset whose elements are all
+  *cellular*: the boundary of each has the homology of a sphere, checked
+  on cells by induction on dimension, and ``dd = 0`` holds on its column
+  (``face_poset_roundtrip`` gives the argument).  Every element of a
+  regular directed complex is cellular, since it realizes as a regular CW
+  complex and ``dd = 0`` there is globularity.
+
+The per-atom sphere report runs on cells as far as the induction reaches
+and on nerves above any element that is not cellular.  Nothing here
+recognizes molecules.
 
 Homology is computed over the integers from sparse boundary maps: every
 +-1 entry is eliminated as a pivot, and what is left goes to one exact
@@ -18,7 +25,7 @@ Smith elimination on Python integers, which never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .ogposet import OgPoset, ClosedSubset, PosetMap, bits
 
@@ -113,10 +120,11 @@ def cell_complex(p: Union[OgPoset, ClosedSubset]) -> ChainComplex:
     """Steiner's chain complex: one generator per element, ``dx = x+ - x-``.
 
     Generators are numbered within each dimension in index order.  It
-    computes homology only on a regular directed complex
-    (``is_regular_complex``).  On other input ``dd = 0`` may fail, and
-    then the build raises ``ValueError``: unlike a nerve's, this check
-    depends on the input, so it is no assertion.
+    computes the nerve's homology when every element is cellular (see
+    ``face_poset_roundtrip``), as on a regular directed complex.  On other
+    input ``dd = 0`` may fail, and then the build raises ``ValueError``:
+    unlike a nerve's, this check depends on the input, so it is no
+    assertion.
     """
     if isinstance(p, OgPoset):
         poset, mask = p, p.all_mask
@@ -279,21 +287,92 @@ class RoundtripReport:
 def face_poset_roundtrip(p: OgPoset) -> RoundtripReport:
     """Atom-by-atom sphere condition behind the regular-CW-poset claim.
 
-    For every element x of dimension d >= 1, the nerve of its boundary must
-    look like a sphere of dimension d - 1, in homology and Euler
-    characteristic.  The nerve of the closure of x is a cone with apex x,
-    hence always a ball, so it needs no check.
+    For every element x of dimension d >= 1, the nerve of its boundary
+    ``cl(x) \\ {x}`` must look like a sphere of dimension d - 1, in homology
+    and Euler characteristic.  The nerve of the closure of x is a cone with
+    apex x, hence always a ball, so it needs no check.
 
-    This stays on nerves: ``cell_complex`` computes homology only because
-    atom boundaries are spheres, which is the claim checked here, so
-    checking it on cells would be circular.
+    The check runs on cells wherever it can, by induction on dimension.
+    Call x *cellular* when its boundary is a sphere, Steiner's ``dd = 0``
+    holds on the column of x, and every element below x is cellular.  If
+    every element of a closed subset U is cellular, Steiner's complex of U
+    computes the homology of the nerve of U:
+
+    - Filter the nerve by the dimension of the top of a chain.  Each
+      relative group of the filtration is the sum over the n-dimensional x
+      of the reduced homology of the nerve of ``cl(x) \\ {x}`` shifted up
+      by one, and the sphere condition puts all of it in degree n.  So the
+      usual cellular-homology argument (Hatcher, section 2.2) gives a
+      chain complex with one generator per element that computes the
+      homology of the nerve of U.
+    - Its differential agrees with Steiner's up to one sign per cell.  By
+      induction Steiner's complex is right on ``cl(x) \\ {x}``; ``dd = 0``
+      makes Steiner's ``dx`` a cycle there, and these cycles form
+      ``H_(d-1) = Z``.  The entries of ``dx`` are +-1, so it is primitive
+      and generates that group, as the cellular differential of x does.
+      For d = 1 the same holds in reduced ``H_0``: ``dd = 0`` reads as
+      "as many + faces as - faces".
+
+    So when everything below x is cellular, the homology of the cells of
+    ``cl(x) \\ {x}`` is that of its nerve, and it decides the sphere
+    condition on its own (a sphere's Euler characteristic follows from its
+    homology).  An element above one that is not cellular is checked on
+    its nerve, so the report is the nerve's, element by element.  See also
+    Bjorner, *Posets, regular CW complexes and Bruhat order* (1984), and
+    Lundell and Weingram (1969) on incidence numbers.
     """
-    failures = []
-    for x in range(p.size):
-        d = p.dims[x]
-        if d >= 1:
-            k = nerve(ClosedSubset(p, p.down[x]).boundary())
-            if not (_matches(homology(k), sphere_signature(d - 1))
-                    and euler(k) == 1 + (-1) ** (d - 1)):
-                failures.append(x)
-    return RoundtripReport(not failures, tuple(failures), p.size)
+    failures = tuple(x for x, sphere, _ in _cell_pass(p, p.all_mask)
+                     if not sphere)
+    return RoundtripReport(not failures, failures, p.size)
+
+
+def _cell_pass(p: OgPoset, mask: int) -> Iterator[tuple[int, bool, bool]]:
+    """``(x, sphere, cellular)`` for each x of the closed ``mask``.
+
+    Elements come in index order, which is dimension order; see
+    ``face_poset_roundtrip`` for what the two flags mean and why the cells
+    may stand in for the nerve.  They differ: a boundary that is a sphere
+    need not satisfy ``dd = 0`` on cells.  An element above one that is
+    not cellular is checked on its nerve, after the first ``cellular`` that
+    is False, so a caller that needs only cells can stop there.  The chain
+    complexes of boundaries key their rows by element index, which
+    ``homology`` reads only as labels.
+    """
+    fp, fm, down, dims = p.faces_plus, p.faces_minus, p.down, p.dims
+    cols: dict[int, dict[int, int]] = {}
+    cellular = 0
+    for x in bits(mask):
+        d = dims[x]
+        col = cols[x] = {**dict.fromkeys(bits(fp[x]), 1),
+                         **dict.fromkeys(bits(fm[x]), -1)}
+        bit = 1 << x
+        below = down[x] ^ bit
+        if below & ~cellular:
+            k = nerve(ClosedSubset(p, below))
+            yield x, (_matches(homology(k), sphere_signature(d - 1))
+                      and euler(k) == 1 + (-1) ** (d - 1)), False
+            continue
+        if d <= 1:
+            # the (-1)-sphere is empty, the 0-sphere two points
+            sphere = below.bit_count() == 2 * d
+        else:
+            levels: list[list[dict[int, int]]] = [[] for _ in range(d)]
+            for y in bits(below):
+                levels[dims[y]].append(cols[y])
+            h = homology(ChainComplex([len(lv) for lv in levels], levels))
+            sphere = _matches(h, sphere_signature(d - 1))
+        if not sphere:
+            yield x, False, False
+            continue
+        if d == 1:
+            # on reduced chains every vertex has boundary 1
+            dd_zero = sum(col.values()) == 0
+        else:
+            dd: dict[int, int] = {}
+            for f, c in col.items():
+                for g, e in cols[f].items():
+                    dd[g] = dd.get(g, 0) + c * e
+            dd_zero = not any(dd.values())
+        if dd_zero:
+            cellular |= bit
+        yield x, True, dd_zero

@@ -270,3 +270,30 @@ def test_cli_process_never_imports_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("token", ["x", "99", "-1", "1,,2"])
+@pytest.mark.parametrize("verb", [["check", "molecule"], ["topo", "homology"]],
+                         ids=lambda v: v[0])
+def test_bad_subset_is_a_usage_error(tmp_path, capsys, verb, token):
+    f = tmp_path / "d2.json"
+    f.write_text(simplex(2).to_json())
+    code, out, err = invoke(capsys, *verb, str(f), f"--subset={token}")
+    bad = token.split(",")[1] if "," in token else token
+    assert code == 2 and not out
+    assert err.startswith(f"usage: {bad!r} is not an element index")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader takes 20 bytes of a ~100 kB complex and closes the pipe
+    src = os.path.dirname(os.path.dirname(dircomplex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dircomplex.cli", "shape", "simplex", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0 and err == b""

@@ -5,7 +5,7 @@ from dircomplex import (
 )
 from dircomplex.topology import (
     ChainComplex, SimplicialComplex, chain_complex, _smith_diagonal,
-    sphere_signature, ball_signature, _matches,
+    sphere_signature, ball_signature, _matches, _cell_pass,
 )
 from hypothesis import given, settings, strategies as st
 from math import gcd
@@ -305,10 +305,13 @@ PARALLEL_INPUT = OgPoset.from_records([
 
 def test_cell_complex_of_non_globular_atom_fails_dd_zero():
     # d(4 - 2 - 3) = -(1 - 0): Steiner's boundary is no chain complex here,
-    # which is why the regularity gate must run before cell_complex
+    # which is why topo homology asks every member to be cellular before it
+    # builds cell_complex
     assert not is_regular_complex(PARALLEL_INPUT)
     with pytest.raises(ValueError, match="boundary of a boundary"):
         cell_complex(PARALLEL_INPUT)
+    assert [cell for _, _, cell in _cell_pass(PARALLEL_INPUT, 0b111111)] \
+        == [True] * 5 + [False]
     # its boundary, three parallel arrows, is regular and agrees with the
     # nerve
     bd = PARALLEL_INPUT.whole().boundary()
@@ -323,29 +326,174 @@ def test_is_regular_complex_checks_only_the_subset():
     assert not is_regular_complex(PARALLEL_INPUT.whole())
 
 
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+    monkeypatch.setattr(module, name, spy)
+
+
+def _topo(tmp_path, capsys, p, *argv):
+    from dircomplex.cli import run
+    f = tmp_path / "p.json"
+    f.write_text(p.to_json())
+    code = run(["--json", "topo", argv[0], str(f), *argv[1:]])
+    return code, json.loads(capsys.readouterr().out)
+
+
 def test_cli_homology_takes_nerve_path_off_the_gate(tmp_path, capsys,
                                                      monkeypatch):
     from dircomplex import topology
+    built = []
+    _spy(monkeypatch, topology, "nerve", built)
+    _spy(monkeypatch, topology, "cell_complex", built)
+    # the non-globular 2-cell is no cellular element, and a disjoint vertex
+    # leaves no greatest element: only the nerve is exact
+    p = OgPoset.from_records(PARALLEL_INPUT.to_json_obj()["elements"]
+                             + [{"dim": 0, "minus": [], "plus": []}])
+    code, out = _topo(tmp_path, capsys, p, "homology")
+    assert code == 0 and built == ["nerve"]
+    assert out["H"] == [{"betti": b, "torsion": t}
+                        for b, t in homology(nerve(p))]
+    # with the greatest element the nerve is a cone: nothing is built
+    built.clear()
+    code, out = _topo(tmp_path, capsys, PARALLEL_INPUT, "homology")
+    assert code == 0 and built == []
+    assert out["H"] == [{"betti": b, "torsion": t}
+                        for b, t in homology(nerve(PARALLEL_INPUT))]
+    built.clear()
+    code, out = _topo(tmp_path, capsys, PARALLEL_INPUT, "homology",
+                      "--boundary")
+    assert code == 0 and built == ["cell_complex"]
+    assert out["H"] == [{"betti": 1, "torsion": []},
+                        {"betti": 2, "torsion": []}]
+
+
+def test_cli_topo_never_recognizes_molecules(tmp_path, capsys, monkeypatch):
+    from dircomplex import cli, molecule
+    calls = []
+    _spy(monkeypatch, molecule, "is_molecule", calls)
+    _spy(monkeypatch, molecule, "is_regular_complex", calls)
+    _spy(monkeypatch, cli, "is_molecule", calls)
+    _spy(monkeypatch, cli, "is_regular_complex", calls)
+    for p in (simplex(3), cube(3), PARALLEL_INPUT):
+        for argv in (["homology"], ["homology", "--boundary"], ["euler"],
+                     ["euler", "--boundary"], ["cwcheck"]):
+            _topo(tmp_path, capsys, p, *argv)
+    assert calls == []
+    # the spies do see a verb that recognizes
     from dircomplex.cli import run
     f = tmp_path / "parallel.json"
     f.write_text(PARALLEL_INPUT.to_json())
-    built = []
+    assert run(["check", "regular", str(f)]) == 1
+    assert "is_regular_complex" in calls and "is_molecule" in calls
 
-    def spy(name):
-        real = getattr(topology, name)
 
-        def build(u):
-            built.append(name)
-            return real(u)
-        monkeypatch.setattr(topology, name, build)
-    spy("nerve")
-    spy("cell_complex")
-    assert run(["--json", "topo", "homology", str(f)]) == 0
-    assert built == ["nerve"]
-    assert json.loads(capsys.readouterr().out)["H"] == \
-        [{"betti": b, "torsion": t} for b, t in homology(nerve(PARALLEL_INPUT))]
-    built.clear()
-    assert run(["--json", "topo", "homology", str(f), "--boundary"]) == 0
-    assert built == ["cell_complex"]
-    assert json.loads(capsys.readouterr().out)["H"] == [
-        {"betti": 1, "torsion": []}, {"betti": 2, "torsion": []}]
+def _nerve_failures(p: OgPoset) -> tuple[int, ...]:
+    """Reference: every boundary of dimension >= 1 checked on its nerve."""
+    failures = []
+    for x in range(p.size):
+        d = p.dims[x]
+        if d >= 1:
+            k = nerve(ClosedSubset(p, p.down[x]).boundary())
+            if not (_matches(homology(k), sphere_signature(d - 1))
+                    and euler(k) == 1 + (-1) ** (d - 1)):
+                failures.append(x)
+    return tuple(failures)
+
+
+def _agrees_with_nerve(u: ClosedSubset) -> None:
+    q = u.extract()[0]
+    assert face_poset_roundtrip(q).failures == _nerve_failures(q), q.to_json()
+    if all(cell for _, _, cell in _cell_pass(u.parent, u.mask)):
+        assert homology(cell_complex(u)) == homology(nerve(u)), q.to_json()
+
+
+# a 2-cell whose boundary is a circle, two parallel arrows, both of them
+# inputs: a sphere, but d(-2 - 3) = -2(1 - 0) is not zero
+CIRCLE_WITHOUT_DD = OgPoset.from_records([
+    {"dim": 0, "minus": [], "plus": []},
+    {"dim": 0, "minus": [], "plus": []},
+    {"dim": 1, "minus": [0], "plus": [1]},
+    {"dim": 1, "minus": [0], "plus": [1]},
+    {"dim": 2, "minus": [2, 3], "plus": []},
+])
+
+
+def test_sphere_and_cellular_masks_stay_apart(tmp_path, capsys):
+    p = CIRCLE_WITHOUT_DD
+    assert list(_cell_pass(p, p.all_mask)) == \
+        [(0, True, True), (1, True, True), (2, True, True),
+         (3, True, True), (4, True, False)]
+    assert face_poset_roundtrip(p).failures == _nerve_failures(p) == ()
+    code, out = _topo(tmp_path, capsys, p, "cwcheck")
+    assert code == 0 and out["ok"] is True and out["failures"] == []
+    for argv in (["homology", "--boundary"], ["homology"]):
+        sub = p.whole().boundary() if len(argv) > 1 else p.whole()
+        code, out = _topo(tmp_path, capsys, p, *argv)
+        assert code == 0
+        assert out["H"] == [{"betti": b, "torsion": t}
+                            for b, t in homology(nerve(sub))]
+
+
+def _pool():
+    import pathlib
+    pool = pathlib.Path(__file__).resolve().parent.parent / "perfbench/pool"
+    for f in sorted(pool.glob("*.json")):
+        if f.name != "manifest.json" and not f.name.startswith("malformed"):
+            yield f.stem, OgPoset.from_json(f.read_text())
+
+
+def test_roundtrip_matches_nerve_reference(corpus_members):
+    # the reference takes 2 s on simplex6 and half a minute on simplex7
+    named = corpus_members + [(n, p) for n, p in _pool() if p.dim < 6] + \
+        [("circle", CIRCLE_WITHOUT_DD)]
+    failing = 0
+    for name, p in named:
+        failures = _nerve_failures(p)
+        assert face_poset_roundtrip(p).failures == failures, name
+        failing += bool(failures)
+    assert failing >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cells_and_roundtrip_match_nerve_on_corpus(corpus_members, data):
+    _, p = data.draw(st.sampled_from(corpus_members))
+    for u in _closed_subsets(data, p):
+        _agrees_with_nerve(u)
+
+
+@st.composite
+def _oriented_graded_posets(draw):
+    """Small posets with random signed faces: most atoms are no cells."""
+    dims, fm, fp = [], [], []
+    below: list[int] = []
+    for d in range(draw(st.integers(1, 4))):
+        here = []
+        for _ in range(draw(st.integers(1, 4))):
+            minus = plus = 0
+            if d:
+                for f in draw(st.lists(st.sampled_from(below), min_size=1,
+                                       max_size=4, unique=True)):
+                    if draw(st.booleans()):
+                        minus |= 1 << f
+                    else:
+                        plus |= 1 << f
+            here.append(len(dims))
+            dims.append(d)
+            fm.append(minus)
+            fp.append(plus)
+        below = here
+    return OgPoset(dims, fm, fp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_oriented_graded_posets())
+def test_cells_and_roundtrip_match_nerve_on_random_posets(p):
+    # failures low down send the atoms above them to the nerve fallback
+    _agrees_with_nerve(p.whole())
+    for x in range(p.size):
+        _agrees_with_nerve(ClosedSubset(p, p.down[x]).boundary())
