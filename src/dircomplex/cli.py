@@ -71,19 +71,44 @@ def _emit(obj, as_json: bool) -> None:
         print(json.dumps(obj, indent=2))
 
 
+def _emit_check(kind: str, ok: bool, cert, as_json: bool) -> None:
+    """``_emit`` of ``{"check": kind, "ok": ok, "certificate": ...}``.
+
+    The certificate's text comes from ``MoleculeCert.to_json``, which
+    walks each shared node once; ``json.dumps`` of ``to_json_obj()`` walks
+    it at every place it is written.
+    """
+    if as_json:
+        head = f'{{"check":"{kind}","ok":{json.dumps(ok)},"certificate":'
+        body = "null" if cert is None else cert.to_json()
+        print(f"{head}{body}}}")
+    else:
+        head = f'{{\n  "check": "{kind}",\n  "ok": {json.dumps(ok)},\n'
+        body = "null" if cert is None else cert.to_json(2, 1)
+        print(f'{head}  "certificate": {body}\n}}')
+
+
 def _emit_complex(p: OgPoset) -> None:
     print(p.to_json())
 
 
-# family -> (parameter count, builder)
+# the most elements ``shape`` builds.  Memory grows with the square of the
+# size (every element's downward closure is a mask over all of them): the
+# largest shapes under it, simplex 13 (16,383 elements) and cube 9 (19,683),
+# take ~140 and ~205 MB and ~1.5 s, and simplex 14 would take ~0.5 GB
+_SHAPE_LIMIT = 20_000
+
+# family -> (parameter count, builder, element count in closed form or
+# None); exponents are capped at 64, already far over the limit, so that a
+# huge parameter takes no huge power
 _SHAPES = {
-    "globe": (1, shapes.globe),
-    "simplex": (1, shapes.simplex),
-    "cube": (1, shapes.cube),
-    "phi": (1, lambda m: shapes.phi(m).whole),
-    "C": (2, lambda n, k: shapes.compositor_c(n, k).whole),
-    "E": (2, lambda k, n: shapes.extr(k, n).whole),
-    "Etilde": (2, lambda k, n: shapes.extrtil(k, n).whole),
+    "globe": (1, shapes.globe, lambda n: 2 * n + 1),
+    "simplex": (1, shapes.simplex, lambda n: 2 ** (min(n, 64) + 1) - 1),
+    "cube": (1, shapes.cube, lambda n: 3 ** min(n, 64)),
+    "phi": (1, lambda m: shapes.phi(m).whole, None),
+    "C": (2, lambda n, k: shapes.compositor_c(n, k).whole, None),
+    "E": (2, lambda k, n: shapes.extr(k, n).whole, None),
+    "Etilde": (2, lambda k, n: shapes.extrtil(k, n).whole, None),
 }
 
 
@@ -95,9 +120,14 @@ def _arity_error(what: str, counts: tuple[int, ...], params: list) -> int:
 
 
 def _cmd_shape(args) -> int:
-    count, build = _SHAPES[args.family]
+    count, build, size = _SHAPES[args.family]
     if len(args.params) != count:
         return _arity_error(f"shape {args.family}", (count,), args.params)
+    if size is not None and size(*args.params) > _SHAPE_LIMIT:
+        print(f"usage: shape {args.family} "
+              f"{' '.join(map(str, args.params))} has more than "
+              f"{_SHAPE_LIMIT} elements", file=sys.stderr)
+        return 2
     _emit_complex(build(*args.params))
     return 0
 
@@ -132,26 +162,22 @@ def _cmd_check(args) -> int:
         return 1
     sub = _subset(p, args.subset)
     kind = args.predicate
+    cert = None
     if kind == "molecule":
         cert = is_molecule(sub)
         ok = cert is not None
-        payload = cert.to_json_obj() if cert else None
     elif kind == "atom":
         ok = is_atom(sub)
-        payload = None
     elif kind == "spherical":
         cert = is_molecule(sub)
         ok = cert is not None and has_spherical_boundary(cert)
-        payload = cert.to_json_obj() if cert else None
     elif kind == "regular":
         ok = is_regular_complex(sub)
-        payload = None
     elif kind == "loopfree":
         ok = is_totally_loop_free(sub.extract()[0])
-        payload = None
     else:
         raise SystemExit(2)
-    _emit({"check": kind, "ok": ok, "certificate": payload}, args.json)
+    _emit_check(kind, ok, cert, args.json)
     return 0 if ok else 1
 
 

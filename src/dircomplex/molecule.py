@@ -10,7 +10,7 @@ checker can re-verify by recomputing the three set equations at each node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .ogposet import OgPoset, ClosedSubset, bits
 
@@ -19,19 +19,19 @@ class NotAMolecule(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomNode:
     top: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PasteNode:
     left: "MoleculeCert"
     right: "MoleculeCert"
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoleculeCert:
     subset: ClosedSubset
     tree: Union[AtomNode, PasteNode]
@@ -69,7 +69,8 @@ class MoleculeCert:
 
         Recognition hands out one certificate per subset, so a node reached
         along several paths is built once and shared; ``json.dumps`` writes
-        it out at each place, as it would a copy.
+        it out at each place, as it would a copy.  ``to_json`` gives the
+        same text without walking a shared node more than once.
         """
         built: dict[int, dict] = {}
 
@@ -86,6 +87,64 @@ class MoleculeCert:
             return obj
 
         return build(self)
+
+    def to_json(self, indent: Optional[int] = None, level: int = 0) -> str:
+        """``json.dumps`` of ``to_json_obj()``, rendered over shared nodes.
+
+        Compact (``separators=(",", ":")``) when ``indent`` is None, else
+        ``json.dumps(..., indent=indent)`` as if nested ``level`` deep in a
+        larger document.  A shared node is still written out in full at
+        each place, but its text is built once and reused when it is at
+        most ``_KEPT_TEXT`` characters long.  Longer nodes are written as
+        their parts, so no more than that is kept per node and depth.
+        """
+        out: list[str] = []
+        kept: dict[tuple[int, int], str] = {}
+        glue: dict[int, tuple[str, ...]] = {}
+        step = 0 if indent is None else 1  # compact text has no depth
+
+        def write(cert: MoleculeCert, lvl: int) -> int:
+            """Append the text of cert at depth lvl; return its length."""
+            key = (id(cert), lvl)
+            text = kept.get(key)
+            if text is not None:
+                out.append(text)
+                return len(text)
+            g = glue.get(lvl)
+            if g is None:
+                if indent is None:
+                    g = ('{"atom":', '{"k":', ',"left":', ',"right":', "}")
+                else:
+                    inner = "\n" + " " * (indent * (lvl + 1))
+                    g = ("{" + inner + '"atom": ', "{" + inner + '"k": ',
+                         "," + inner + '"left": ', "," + inner + '"right": ',
+                         "\n" + " " * (indent * lvl) + "}")
+                glue[lvl] = g
+            atom_open, k_open, left, right, close = g
+            tree = cert.tree
+            if isinstance(tree, AtomNode):
+                text = kept[key] = f"{atom_open}{tree.top}{close}"
+                out.append(text)
+                return len(text)
+            start = len(out)
+            head = f"{k_open}{tree.k}{left}"
+            out.append(head)
+            n = len(head) + write(tree.left, lvl + step)
+            out.append(right)
+            n += len(right) + write(tree.right, lvl + step) + len(close)
+            out.append(close)
+            if n <= _KEPT_TEXT:
+                text = kept[key] = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+            return n
+
+        write(self, level * step)
+        return "".join(out)
+
+
+# the longest node text that MoleculeCert.to_json keeps for reuse
+_KEPT_TEXT = 8192
 
 
 @dataclass(frozen=True)
@@ -107,21 +166,22 @@ def class_tag(u: ClosedSubset) -> ClassTag:
     )
 
 
-def _closed_codes(forced: list[int]) -> Iterator[int]:
-    """Every code closed under ``forced``, ascending, but 0 and the full code.
+def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
+    """Every closed left part, as codes ascending, but 0 and the full code.
 
-    Bit i of a code forces the bits of ``forced[i]``; a code is closed when
-    it holds everything its bits force.  After a transitive closure of the
-    rows, Ganter's NextClosure ("Two basic algorithms in concept analysis",
-    1984) steps from one closed code to the next in ascending order, least
-    significant bit first, with O(t^2) work per step for t bits.
+    Bit i of a code puts top i on the left, and top i on the left forces
+    top j there too when ``downs[j]`` meets ``reach[i]``; a code is closed
+    when it holds everything its bits force.  Ganter's NextClosure ("Two
+    basic algorithms in concept analysis", 1984) steps from one closed code
+    to the next in ascending order, least significant bit first: the next
+    code is the closure of the current code's bits above some bit i, plus
+    bit i, for the least i whose closure adds no higher bit.  Closures
+    follow the forcing rows outward and stop at the first higher bit, and
+    each row is built on first use, so the first code, which recognition
+    nearly always keeps, reads a few rows instead of all t of them.
     """
-    t = len(forced)
-    imp = [m | 1 << i for i, m in enumerate(forced)]
-    for i in range(t):  # Warshall, one bit row at a time
-        for row in range(t):
-            if imp[row] >> i & 1:
-                imp[row] |= imp[i]
+    t = len(downs)
+    rows = [-1] * t  # the tops that top j forces, -1 until built
     full = (1 << t) - 1
     code = 0
     while True:
@@ -129,18 +189,79 @@ def _closed_codes(forced: list[int]) -> Iterator[int]:
             bit = 1 << i
             if code & bit:
                 continue
-            if imp[i] & -(bit << 1) & ~code:
-                continue  # bit i forces a higher bit the code lacks
-            high = code & -(bit << 1)
-            code = imp[i]
-            for j in bits(high):
-                code |= imp[j]
-            break
+            above = -(bit << 1)
+            lacks = above & ~code  # bit i may force none of these
+            closed = todo = code & above | bit
+            while todo:
+                j = todo.bit_length() - 1
+                todo ^= 1 << j
+                row = rows[j]
+                if row < 0:
+                    row = 0
+                    r = reach[j]
+                    for b, d in enumerate(downs):
+                        if d & r:
+                            row |= 1 << b
+                    rows[j] = row
+                todo |= row & ~closed
+                closed |= row
+                if closed & lacks:
+                    break
+            else:
+                code = closed
+                break
         else:
             return
         if code == full:
             return
         yield code
+
+
+def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
+    """``iter_splits`` on masks: ``(left mask, right mask, k)``."""
+    down, dims, split_row = p.down, p.dims, p._split_row
+    closure = p.closure_mask
+    maximals = []
+    rest = mask
+    while rest:
+        x = rest.bit_length() - 1
+        maximals.append(x)
+        rest &= ~down[x]
+    maximals.reverse()
+    for k in range(dims[mask.bit_length() - 1] - 1, -1, -1):
+        tops = [x for x in maximals if dims[x] > k]
+        t = len(tops)
+        if t < 2:
+            continue
+        downs = [down[x] for x in tops]
+        not_in, not_out, reach = zip(*[split_row(x)[k] for x in tops])
+        dim_k = mask & p._dim_masks[k]
+        for code in _closed_codes(downs, reach):
+            a_mask = b_mask = out_blocked = in_blocked = 0
+            for i in range(t):
+                if code >> i & 1:
+                    a_mask |= downs[i]
+                    out_blocked |= not_out[i]
+                else:
+                    b_mask |= downs[i]
+                    in_blocked |= not_in[i]
+            # the closure of the interface's dim-k elements is part of
+            # both boundary closures below, so those close only the rest
+            core = closure(dim_k & ~(out_blocked | in_blocked))
+            inter = core | mask & ~(a_mask | b_mask)
+            lmask = a_mask | inter
+            rmask = b_mask | inter
+            if lmask == mask or rmask == mask:
+                continue
+            if lmask & rmask != inter:
+                continue
+            if (core | closure(lmask & dim_k & in_blocked & ~out_blocked)
+                    | inter & ~a_mask) != inter:
+                continue
+            if (core | closure(rmask & dim_k & out_blocked & ~in_blocked)
+                    | inter & ~b_mask) != inter:
+                continue
+            yield lmask, rmask, k
 
 
 def iter_splits(u: ClosedSubset) -> Iterator[tuple[ClosedSubset, ClosedSubset, int]]:
@@ -152,55 +273,22 @@ def iter_splits(u: ClosedSubset) -> Iterator[tuple[ClosedSubset, ClosedSubset, i
     go left too when cl{b} meets the ``reach`` mask of a
     (``OgPoset.split_masks``); the left parts closed under that relation
     are walked by ``_closed_codes`` in ascending bitmask order, which is the
-    order of a scan over all 2^t bipartitions.  Given a bipartition, the
-    interface is forced: its dim-k elements are those with no - coface in
-    the left closure and no + coface in the right closure, and everything
-    outside both closures joins it too.  Each candidate is checked against
-    the definition before being yielded: bd+_k of the left part is the
-    closure of its dim-k elements outside every left top's ``not_out``,
-    plus what lies under no left top, and bd-_k of the right part dually.
+    order of a scan over all 2^t bipartitions, building only the forcing
+    rows the walk reaches.  Given a bipartition, the interface is forced:
+    its dim-k elements are those with no - coface in the left closure and
+    no + coface in the right closure, and everything outside both closures
+    joins it too.  Each candidate is checked against the definition before
+    being yielded: bd+_k of the left part is the closure of its dim-k
+    elements outside every left top's ``not_out``, plus what lies under no
+    left top, and bd-_k of the right part dually.  The walk itself runs on
+    masks (``_splits``), which ``is_molecule`` reads directly.
     """
     p = u.parent
-    maximals = u.maximal()
-    for k in range(u.dim - 1, -1, -1):
-        tops = [x for x in maximals if p.dims[x] > k]
-        t = len(tops)
-        if t < 2:
-            continue
-        downs = [p.down[x] for x in tops]
-        not_in, not_out, reach = zip(*(p.split_masks(x, k) for x in tops))
-        forced = []
-        for r in reach:  # a top's own bit in its row is harmless
-            row = 0
-            for j, d in enumerate(downs):
-                if d & r:
-                    row |= 1 << j
-            forced.append(row)
-        dim_k = u.mask & p.dim_mask(k)
-        for code in _closed_codes(forced):
-            a_mask = b_mask = out_blocked = in_blocked = 0
-            for i in range(t):
-                if code >> i & 1:
-                    a_mask |= downs[i]
-                    out_blocked |= not_out[i]
-                else:
-                    b_mask |= downs[i]
-                    in_blocked |= not_in[i]
-            rest = u.mask & ~(a_mask | b_mask)
-            inter = p.closure_mask(dim_k & ~(out_blocked | in_blocked)) | rest
-            lmask = a_mask | inter
-            rmask = b_mask | inter
-            if lmask == u.mask or rmask == u.mask:
-                continue
-            if lmask & rmask != inter:
-                continue
-            if (p.closure_mask(lmask & dim_k & ~out_blocked)
-                    | inter & ~a_mask) != inter:
-                continue
-            if (p.closure_mask(rmask & dim_k & ~in_blocked)
-                    | inter & ~b_mask) != inter:
-                continue
-            yield ClosedSubset(p, lmask), ClosedSubset(p, rmask), k
+    for lmask, rmask, k in _splits(p, u.mask):
+        yield ClosedSubset(p, lmask), ClosedSubset(p, rmask), k
+
+
+_UNSEEN = object()  # memo lookups: None is an answer
 
 
 def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
@@ -211,27 +299,38 @@ def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
     """
     p = u.parent
     memo = p._mol_memo
-    if u.mask in memo:
-        return memo[u.mask]
-    if u.mask == 0:
-        memo[u.mask] = None
-        return None
-    cert: Optional[MoleculeCert] = None
-    top = u.greatest()
-    if top is not None:
-        cert = MoleculeCert(u, AtomNode(top))
-    else:
-        # recursion cannot revisit u: split parts are proper subsets
-        for left, right, k in iter_splits(u):
-            lc = is_molecule(left)
-            if lc is None:
-                continue
-            rc = is_molecule(right)
-            if rc is None:
-                continue
-            cert = MoleculeCert(u, PasteNode(lc, rc, k))
-            break
-    memo[u.mask] = cert
+    cert = memo.get(u.mask, _UNSEEN)
+    if cert is _UNSEEN:
+        cert = _recognize(p, u.mask, memo)
+    return cert
+
+
+def _recognize(p: OgPoset, mask: int, memo: dict) -> Optional[MoleculeCert]:
+    """``is_molecule`` on a mask missing from ``memo``."""
+    cert = None
+    if mask:
+        top = mask.bit_length() - 1
+        if p.down[top] == mask:
+            tree = AtomNode(top)
+        else:
+            tree = None
+            # recursion cannot revisit mask: split parts are proper subsets
+            for lmask, rmask, k in _splits(p, mask):
+                left = memo.get(lmask, _UNSEEN)
+                if left is _UNSEEN:
+                    left = _recognize(p, lmask, memo)
+                if left is None:
+                    continue
+                right = memo.get(rmask, _UNSEEN)
+                if right is _UNSEEN:
+                    right = _recognize(p, rmask, memo)
+                if right is None:
+                    continue
+                tree = PasteNode(left, right, k)
+                break
+        if tree is not None:
+            cert = MoleculeCert(ClosedSubset(p, mask), tree)
+    memo[mask] = cert
     return cert
 
 
@@ -276,10 +375,20 @@ def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None
 def has_spherical_boundary(cert: MoleculeCert) -> bool:
     """bd+_k U and bd-_k U intersect exactly in bd_{k-1} U for all k < dim."""
     u = cert.subset
-    for k in range(u.dim):
-        inter = u.boundary(+1, k).mask & u.boundary(-1, k).mask
-        if inter != u.boundary(None, k - 1).mask:
+    return _round((u.boundary(-1, k), u.boundary(+1, k))
+                  for k in range(u.dim))
+
+
+def _round(boundaries: Iterable[tuple[ClosedSubset, ClosedSubset]]) -> bool:
+    """``has_spherical_boundary`` given ``(bd-_k, bd+_k)`` for k = 0, 1, ...
+
+    bd_{k-1} is the union of bd-_{k-1} and bd+_{k-1}, and bd_{-1} is empty.
+    """
+    below = 0
+    for minus, plus in boundaries:
+        if minus.mask & plus.mask != below:
             return False
+        below = minus.mask | plus.mask
     return True
 
 
@@ -287,7 +396,8 @@ def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
     """Every atom has molecule boundaries, is globular, and is spherical.
 
     Given a closed subset, only its own elements are checked: a closed
-    subset of a regular complex is regular.
+    subset of a regular complex is regular.  Each k-boundary of an atom's
+    closure is computed once and read by all three clauses.
     """
     if isinstance(p, ClosedSubset):
         p, members = p.parent, bits(p.mask)
@@ -298,19 +408,17 @@ def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
         if d == 0:
             continue
         cl = ClosedSubset(p, p.down[x])
-        bd = {}
-        for sign in (-1, +1):
-            bd[sign] = cl.boundary(sign)
-            if is_molecule(bd[sign]) is None:
-                return False
+        bds = [(cl.boundary(-1, k), cl.boundary(+1, k)) for k in range(d)]
+        minus, plus = bds[-1]
+        if is_molecule(minus) is None or is_molecule(plus) is None:
+            return False
         if d > 1:
-            for sign in (-1, +1):
-                for sign2 in (-1, +1):
-                    if bd[sign2].boundary(sign).mask != \
-                            cl.boundary(sign, d - 2).mask:
-                        return False
-        cert = is_molecule(cl)
-        if cert is None or not has_spherical_boundary(cert):
+            for sign, want in zip((-1, +1), bds[-2]):
+                if minus.boundary(sign).mask != want.mask or \
+                        plus.boundary(sign).mask != want.mask:
+                    return False
+        # cl{x} is an atom, hence a molecule; its boundary must be round
+        if not _round(bds):
             return False
     return True
 

@@ -233,6 +233,10 @@ class OgPoset:
         once per element for every such k, so the table holds at most
         ``3 * size * dim`` masks.
         """
+        return self._split_row(x)[k]
+
+    def _split_row(self, x: int) -> tuple[tuple[int, int, int], ...]:
+        """``split_masks(x, k)`` for every ``k < dims[x]``, in order of k."""
         row = self._split_masks.get(x)
         if row is None:
             cl = self.down[x]
@@ -249,7 +253,7 @@ class OgPoset:
                         reach = reach & ~(1 << z) | self.cofaces_plus[z]
                 row.append((not_in, not_out, reach))
             row = self._split_masks[x] = tuple(row)
-        return row[k]
+        return row
 
     def elements_of_dim(self, d: int) -> Iterator[int]:
         return bits(self.dim_mask(d))
@@ -308,7 +312,7 @@ class OgPoset:
         return f"OgPoset({self.size} elements, dims {counts})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedSubset:
     """A downward-closed set of elements of a fixed OgPoset."""
 

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import dircomplex
-from dircomplex import OgPoset, dual, globe, simplex, gen_corpus
-from dircomplex.cli import run, export_dot
+from dircomplex import OgPoset, cube, dual, globe, simplex, gen_corpus
+from dircomplex.cli import run, export_dot, _SHAPES, _SHAPE_LIMIT
 
 
 def invoke(capsys, *argv):
@@ -285,11 +285,15 @@ def test_bad_subset_is_a_usage_error(tmp_path, capsys, verb, token):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(dircomplex.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader takes 20 bytes of a ~100 kB complex and closes the pipe
-    src = os.path.dirname(os.path.dirname(dircomplex.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _cli_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "dircomplex.cli", "shape", "simplex", "10"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -297,3 +301,36 @@ def test_closed_stdout_pipe_exits_quietly():
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait() == 0 and err == b""
+
+
+def test_shape_sizes_follow_their_closed_forms():
+    for family, build, params in (("globe", globe, range(6)),
+                                  ("simplex", simplex, range(8)),
+                                  ("cube", cube, range(6))):
+        size = _SHAPES[family][2]
+        for n in params:
+            assert size(n) == build(n).size, (family, n)
+    # the limit admits simplex 13 and cube 9, and nothing larger
+    for family, largest in (("simplex", 13), ("cube", 9)):
+        size = _SHAPES[family][2]
+        assert size(largest) <= _SHAPE_LIMIT < size(largest + 1)
+
+
+@pytest.mark.parametrize("args", [["simplex", "10"], ["cube", "7"]])
+def test_shapes_used_in_ci_are_built(capsys, args):
+    code, out, err = invoke(capsys, "shape", *args)
+    assert code == 0 and not err
+    assert OgPoset.from_json(out).size == _SHAPES[args[0]][2](int(args[1]))
+
+
+@pytest.mark.parametrize("args", [["simplex", "40"], ["cube", "10"],
+                                  ["globe", "10000"],
+                                  ["simplex", "1000000000000"]])
+def test_oversized_shape_is_refused_before_it_is_built(args):
+    # building simplex 40 ends in a MemoryError; the refusal builds nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "dircomplex.cli", "shape", *args],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == (f"usage: shape {' '.join(args)} has more than "
+                           f"{_SHAPE_LIMIT} elements\n")

@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import pathlib
 import random
 
 import pytest
@@ -11,8 +15,14 @@ from dircomplex import (
     composable,
     paste, globe, simplex, cube, phi, gray, gen_corpus,
 )
+from dircomplex import molecule
+from dircomplex.cli import run
 from dircomplex.molecule import _closed_codes, iter_splits
 from dircomplex.ogposet import bits
+
+from test_topology import _oriented_graded_posets
+
+_POOL = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool"
 
 
 def test_globes_are_atoms():
@@ -359,10 +369,12 @@ def _relation_rows(t):
 @settings(max_examples=300, deadline=None)
 @given(forced=st.integers(1, 9).flatmap(_relation_rows))
 def test_closed_codes_are_the_closed_bipartitions_in_order(forced):
+    # with top j's closure the single bit j, top i forces exactly the tops
+    # whose bits its reach mask holds: the relation is ``forced`` itself
     t = len(forced)
     want = [c for c in range(1, (1 << t) - 1)
             if all(forced[i] & ~c == 0 for i in bits(c))]
-    assert list(_closed_codes(forced)) == want
+    assert list(_closed_codes([1 << j for j in range(t)], forced)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -384,18 +396,19 @@ def test_forcing_rows_match_pair_definition(corpus_members, data):
                         (not _pair_admissible_by_definition(p, a, b, k))
 
 
+def _nested(c):
+    """The certificate tree written out with no sharing."""
+    if c.is_atom:
+        return {"atom": c.tree.top}
+    return {"k": c.tree.k, "left": _nested(c.tree.left),
+            "right": _nested(c.tree.right)}
+
+
 def test_certificate_json_shares_nodes_and_keeps_bytes():
     p = simplex(5)
     cert = is_molecule(ClosedSubset(p, p.down[p.size - 1]).boundary(-1))
-
-    def nested(c):  # the tree written out with no sharing
-        if c.is_atom:
-            return {"atom": c.tree.top}
-        return {"k": c.tree.k, "left": nested(c.tree.left),
-                "right": nested(c.tree.right)}
-
     obj = cert.to_json_obj()
-    assert json.dumps(obj) == json.dumps(nested(cert))
+    assert json.dumps(obj) == json.dumps(_nested(cert))
     ids = set()
 
     def walk(o):
@@ -405,6 +418,110 @@ def test_certificate_json_shares_nodes_and_keeps_bytes():
             walk(o["right"])
     walk(obj)
     assert len(ids) < json.dumps(obj).count("{")
+
+
+def _spherical_by_reference(cert):
+    u = cert.subset
+    return all(u.boundary(+1, k).mask & u.boundary(-1, k).mask
+               == u.boundary(None, k - 1).mask for k in range(u.dim))
+
+
+def _regular_by_reference(u):
+    """``is_regular_complex`` with each clause computing its own boundaries."""
+    p = u.parent
+    for x in bits(u.mask):
+        d = p.dims[x]
+        if d == 0:
+            continue
+        cl = ClosedSubset(p, p.down[x])
+        bd = {}
+        for sign in (-1, +1):
+            bd[sign] = cl.boundary(sign)
+            if is_molecule(bd[sign]) is None:
+                return False
+        if d > 1:
+            for sign in (-1, +1):
+                for sign2 in (-1, +1):
+                    if bd[sign2].boundary(sign).mask != \
+                            cl.boundary(sign, d - 2).mask:
+                        return False
+        cert = is_molecule(cl)
+        if cert is None or not _spherical_by_reference(cert):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_oriented_graded_posets(), data=st.data())
+def test_regularity_and_sphericity_match_their_references(p, data):
+    # random signed faces: regular and non-regular posets both occur
+    gens = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1,
+                              max_size=4))
+    for u in (p.whole(), p.closure(gens), p.closure(gens).boundary()):
+        assert is_regular_complex(u) == _regular_by_reference(u)
+        cert = is_molecule(u)
+        if cert is not None:
+            assert has_spherical_boundary(cert) == \
+                _spherical_by_reference(cert)
+
+
+def _assert_renders_as_json_dumps(cert, level):
+    tree = _nested(cert)
+    assert cert.to_json() == json.dumps(tree, separators=(",", ":"))
+    indented = json.dumps(tree, indent=2).replace("\n", "\n" + "  " * level)
+    assert cert.to_json(2, level) == indented
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certificate_text_is_json_dumps_of_the_unshared_tree(corpus_members,
+                                                             data):
+    # nodes up to _KEPT_TEXT characters are reused as text and longer ones
+    # written as parts; small limits send corpus certificates down both paths
+    _, p = data.draw(st.sampled_from(corpus_members))
+    gens = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1,
+                              max_size=5))
+    u = p.closure(gens)
+    subsets = [u, u.boundary()]
+    if u.dim >= 1:
+        k = data.draw(st.integers(0, u.dim - 1))
+        subsets.append(u.boundary(data.draw(st.sampled_from((-1, +1))), k))
+    level = data.draw(st.integers(0, 3))
+    kept = molecule._KEPT_TEXT
+    molecule._KEPT_TEXT = data.draw(st.sampled_from((0, 40, 200, kept)))
+    try:
+        for v in subsets:
+            cert = is_molecule(v)
+            if cert is not None:
+                _assert_renders_as_json_dumps(cert, level)
+    finally:
+        molecule._KEPT_TEXT = kept
+
+
+def test_simplex7_boundary_certificate_bytes_are_pinned():
+    # the pool's recorded digest of the compact output (772,314 bytes), and
+    # the indented output's digest at the commit before MoleculeCert.to_json
+    path = str(_POOL / "simplex7.json")
+    for flag, want in (
+            (["--json"], "b3e578ce38c3d9a7f60135a7562424a3"
+                         "753fc0e6628071952b83157deb94fec8"),
+            ([], "c205ae0ec381cdcc4cee2bb8056154cc"
+                 "6ce173420c362d55b247c2c52f1cbb2d")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run([*flag, "check", "molecule", path,
+                        "--subset", "247,249,251,253"])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
+
+
+def test_large_certificate_renders_as_json_dumps():
+    # 1,320 distinct nodes, 772 kB compact: the parts path at the real limit
+    p = OgPoset.from_json((_POOL / "simplex7.json").read_text())
+    cert = is_molecule(p.closure([247, 249, 251, 253]))
+    assert cert.verify()
+    for level in (0, 1):
+        _assert_renders_as_json_dumps(cert, level)
 
 
 @settings(max_examples=200, deadline=None)
