@@ -98,17 +98,27 @@ def _emit_complex(p: OgPoset) -> None:
 # take ~140 and ~205 MB and ~1.5 s, and simplex 14 would take ~0.5 GB
 _SHAPE_LIMIT = 20_000
 
-# family -> (parameter count, builder, element count in closed form or
-# None); exponents are capped at 64, already far over the limit, so that a
-# huge parameter takes no huge power
+
+def _simplex_size(n: int) -> int:
+    return 2 ** (min(n, 64) + 1) - 1
+
+
+# family -> (parameter count, builder, the least number of elements it
+# builds in closed form, or None): the element count of a globe, simplex or
+# cube, and for E and Etilde the n-simplex that ``extr(0, n)`` pastes onto
+# and that ``extr(k, n)`` and ``extrtil(k, n)`` recurse down to.  Exponents
+# are capped at 64, already far over the limit, so that a huge parameter
+# takes no huge power
 _SHAPES = {
     "globe": (1, shapes.globe, lambda n: 2 * n + 1),
-    "simplex": (1, shapes.simplex, lambda n: 2 ** (min(n, 64) + 1) - 1),
+    "simplex": (1, shapes.simplex, _simplex_size),
     "cube": (1, shapes.cube, lambda n: 3 ** min(n, 64)),
     "phi": (1, lambda m: shapes.phi(m).whole, None),
     "C": (2, lambda n, k: shapes.compositor_c(n, k).whole, None),
-    "E": (2, lambda k, n: shapes.extr(k, n).whole, None),
-    "Etilde": (2, lambda k, n: shapes.extrtil(k, n).whole, None),
+    "E": (2, lambda k, n: shapes.extr(k, n).whole,
+          lambda k, n: _simplex_size(n)),
+    "Etilde": (2, lambda k, n: shapes.extrtil(k, n).whole,
+               lambda k, n: _simplex_size(n)),
 }
 
 
@@ -125,7 +135,7 @@ def _cmd_shape(args) -> int:
         return _arity_error(f"shape {args.family}", (count,), args.params)
     if size is not None and size(*args.params) > _SHAPE_LIMIT:
         print(f"usage: shape {args.family} "
-              f"{' '.join(map(str, args.params))} has more than "
+              f"{' '.join(map(str, args.params))} builds more than "
               f"{_SHAPE_LIMIT} elements", file=sys.stderr)
         return 2
     _emit_complex(build(*args.params))

@@ -218,7 +218,30 @@ def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
 
 
 def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
-    """``iter_splits`` on masks: ``(left mask, right mask, k)``."""
+    """Yield the binary pastings ``(left mask, right mask, k)`` of mask.
+
+    Deterministic: gluing dimension k runs from dim-1 downward; for each k
+    the maximal elements of dimension > k are bipartitioned.  Everything
+    two tops a, b share must land in the gluing interface, so with a on the
+    left, b must go left too when cl{b} meets the ``reach`` mask of a
+    (``OgPoset._split_row``); the left parts closed under that relation are
+    walked by ``_closed_codes`` in ascending bitmask order, which is the
+    order of a scan over all 2^t bipartitions, building only the forcing
+    rows the walk reaches.  Given a bipartition, the interface is forced:
+    its dim-k elements are those with no - coface in the left closure and
+    no + coface in the right closure, and everything outside both closures
+    joins it too.
+
+    A candidate is dropped only when a part is all of mask or the parts
+    share more than the interface; the boundary equations then hold.
+    bd+_k of the left part is the closure of its dim-k elements outside
+    every left top's ``not_out``, plus what lies under no left top.  Such
+    an element outside the interface's forced dim-k elements is in a right
+    top's ``not_in``, so in both parts, so in the interface; and the
+    interface meets the right closure only in the closure of its forced
+    dim-k elements, which is closed.  So bd+_k of the left part is the
+    interface, and bd-_k of the right part is too, dually.
+    """
     down, dims, split_row = p.down, p.dims, p._split_row
     closure = p.closure_mask
     maximals = []
@@ -237,55 +260,57 @@ def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
         not_in, not_out, reach = zip(*[split_row(x)[k] for x in tops])
         dim_k = mask & p._dim_masks[k]
         for code in _closed_codes(downs, reach):
-            a_mask = b_mask = out_blocked = in_blocked = 0
+            a_mask = b_mask = blocked = 0
             for i in range(t):
                 if code >> i & 1:
                     a_mask |= downs[i]
-                    out_blocked |= not_out[i]
+                    blocked |= not_out[i]
                 else:
                     b_mask |= downs[i]
-                    in_blocked |= not_in[i]
-            # the closure of the interface's dim-k elements is part of
-            # both boundary closures below, so those close only the rest
-            core = closure(dim_k & ~(out_blocked | in_blocked))
-            inter = core | mask & ~(a_mask | b_mask)
+                    blocked |= not_in[i]
+            inter = closure(dim_k & ~blocked) | mask & ~(a_mask | b_mask)
             lmask = a_mask | inter
             rmask = b_mask | inter
-            if lmask == mask or rmask == mask:
-                continue
-            if lmask & rmask != inter:
-                continue
-            if (core | closure(lmask & dim_k & in_blocked & ~out_blocked)
-                    | inter & ~a_mask) != inter:
-                continue
-            if (core | closure(rmask & dim_k & out_blocked & ~in_blocked)
-                    | inter & ~b_mask) != inter:
+            if lmask == mask or rmask == mask or lmask & rmask != inter:
                 continue
             yield lmask, rmask, k
 
 
-def iter_splits(u: ClosedSubset) -> Iterator[tuple[ClosedSubset, ClosedSubset, int]]:
-    """Yield candidate binary pastings of u, verified, in deterministic order.
+def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
+               ) -> Iterator[MoleculeCert]:
+    """Yield a certificate for each way mask is a molecule, one at a time.
 
-    Gluing dimension k runs from dim-1 downward; for each k the maximal
-    elements of dimension > k are bipartitioned.  Everything two tops a, b
-    share must land in the gluing interface, so with a on the left, b must
-    go left too when cl{b} meets the ``reach`` mask of a
-    (``OgPoset.split_masks``); the left parts closed under that relation
-    are walked by ``_closed_codes`` in ascending bitmask order, which is the
-    order of a scan over all 2^t bipartitions, building only the forcing
-    rows the walk reaches.  Given a bipartition, the interface is forced:
-    its dim-k elements are those with no - coface in the left closure and
-    no + coface in the right closure, and everything outside both closures
-    joins it too.  Each candidate is checked against the definition before
-    being yielded: bd+_k of the left part is the closure of its dim-k
-    elements outside every left top's ``not_out``, plus what lies under no
-    left top, and bd-_k of the right part dually.  The walk itself runs on
-    masks (``_splits``), which ``is_molecule`` reads directly.
+    An atom has one; any other mask has one per split into two molecules,
+    in the order of ``_splits``, and given k only the splits at gluing
+    dimension k are read.  The parts' certificates are memoized per subset
+    on the parent: an unseen part, a proper subset of mask, is recognized
+    as the first certificate of its own walk.  A ``for`` loop resumes that
+    walk without a call (``next`` counts as one on Python 3.10 and 3.12),
+    so recognition takes one stack frame per level of the certificate.
     """
-    p = u.parent
-    for lmask, rmask, k in _splits(p, u.mask):
-        yield ClosedSubset(p, lmask), ClosedSubset(p, rmask), k
+    if not mask:
+        return
+    top = mask.bit_length() - 1
+    if p.down[top] == mask:
+        yield MoleculeCert(ClosedSubset(p, mask), AtomNode(top))
+        return
+    memo = p._mol_memo
+    for lmask, rmask, kk in _splits(p, mask):
+        if k is not None and kk != k:
+            continue
+        parts = []
+        for part in (lmask, rmask):
+            cert = memo.get(part, _UNSEEN)
+            if cert is _UNSEEN:
+                cert = None
+                for cert in _molecules(p, part):
+                    break
+                memo[part] = cert
+            if cert is None:
+                break
+            parts.append(cert)
+        else:
+            yield MoleculeCert(ClosedSubset(p, mask), PasteNode(*parts, kk))
 
 
 _UNSEEN = object()  # memo lookups: None is an answer
@@ -297,40 +322,10 @@ def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
     Deterministic: the certificate is the first found under (k descending,
     left part ascending); results are memoized per subset on the parent.
     """
-    p = u.parent
-    memo = p._mol_memo
+    memo = u.parent._mol_memo
     cert = memo.get(u.mask, _UNSEEN)
     if cert is _UNSEEN:
-        cert = _recognize(p, u.mask, memo)
-    return cert
-
-
-def _recognize(p: OgPoset, mask: int, memo: dict) -> Optional[MoleculeCert]:
-    """``is_molecule`` on a mask missing from ``memo``."""
-    cert = None
-    if mask:
-        top = mask.bit_length() - 1
-        if p.down[top] == mask:
-            tree = AtomNode(top)
-        else:
-            tree = None
-            # recursion cannot revisit mask: split parts are proper subsets
-            for lmask, rmask, k in _splits(p, mask):
-                left = memo.get(lmask, _UNSEEN)
-                if left is _UNSEEN:
-                    left = _recognize(p, lmask, memo)
-                if left is None:
-                    continue
-                right = memo.get(rmask, _UNSEEN)
-                if right is _UNSEEN:
-                    right = _recognize(p, rmask, memo)
-                if right is None:
-                    continue
-                tree = PasteNode(left, right, k)
-                break
-        if tree is not None:
-            cert = MoleculeCert(ClosedSubset(p, mask), tree)
-    memo[mask] = cert
+        cert = memo[u.mask] = next(_molecules(u.parent, u.mask), None)
     return cert
 
 
@@ -353,17 +348,15 @@ def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None
     if k is None:
         k = cert.tree.k if isinstance(cert.tree, PasteNode) else u.dim - 1
 
+    p = u.parent
+
     def flat(sub: ClosedSubset) -> list[ClosedSubset]:
-        for left, right, kk in iter_splits(sub):
-            if kk != k:
-                continue
-            if is_molecule(left) is None or is_molecule(right) is None:
-                continue
-            return flat(left) + flat(right)
+        for c in _molecules(p, sub.mask, k):
+            if not c.is_atom:
+                return flat(c.tree.left.subset) + flat(c.tree.right.subset)
         return [sub]
 
     parts = flat(u)
-    p = u.parent
     for part in parts:
         n_tops = sum(1 for t in part.maximal() if p.dims[t] > k)
         if n_tops != 1:
@@ -504,35 +497,35 @@ def find_submolecule(v: MoleculeCert, u: MoleculeCert
 
     The witness is a chain of steps (left mask, right mask, side) leading
     from u down to v; each step is a verified split, with v contained in
-    the named side.
+    the named side.  Answers per subset are kept for this call only.
     """
     p = u.subset.parent
     target = v.subset.mask
-    memo = p._submol_memo
+    memo: dict[int, Optional[list]] = {}
 
-    def search(cur: ClosedSubset) -> Optional[list]:
-        if cur.mask == target:
+    def search(cur: int) -> Optional[list]:
+        if cur == target:
             return []
-        key = (target, cur.mask)
-        if key in memo:
-            return memo[key]
+        if cur in memo:
+            return memo[cur]
         result = None
-        for left, right, k in iter_splits(cur):
-            if is_molecule(left) is None or is_molecule(right) is None:
-                continue
-            if target & ~left.mask == 0:
-                tail = search(left)
+        for c in _molecules(p, cur):
+            if c.is_atom:
+                break
+            lmask, rmask = c.tree.left.subset.mask, c.tree.right.subset.mask
+            if target & ~lmask == 0:
+                tail = search(lmask)
                 if tail is not None:
-                    result = [(left.mask, right.mask, "left")] + tail
+                    result = [(lmask, rmask, "left")] + tail
                     break
-            if target & ~right.mask == 0:
-                tail = search(right)
+            if target & ~rmask == 0:
+                tail = search(rmask)
                 if tail is not None:
-                    result = [(left.mask, right.mask, "right")] + tail
+                    result = [(lmask, rmask, "right")] + tail
                     break
-        memo[key] = result
+        memo[cur] = result
         return result
 
     if target & ~u.subset.mask:
         return None
-    return search(u.subset)
+    return search(u.subset.mask)

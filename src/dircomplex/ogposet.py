@@ -59,7 +59,6 @@ class OgPoset:
         "dims", "faces_minus", "faces_plus", "size", "dim",
         "cofaces_minus", "cofaces_plus", "down", "all_mask",
         "_dim_masks", "_above", "_split_masks", "_hash", "_mol_memo",
-        "_submol_memo",
     )
 
     def __init__(self, dims, faces_minus, faces_plus):
@@ -130,7 +129,6 @@ class OgPoset:
         self._hash = None
         self._split_masks = {}
         self._mol_memo = {}
-        self._submol_memo = {}
 
     # -- construction and serialisation ---------------------------------
 
@@ -221,22 +219,18 @@ class OgPoset:
             return self.all_mask
         return self._above[d] if d <= self.dim else 0
 
-    def split_masks(self, x: int, k: int) -> tuple[int, int, int]:
-        """The masks of cl{x} that the split search reads, for ``k < dims[x]``.
-
-        ``(not_in, not_out, reach)``: the dim-k elements of cl{x} with a +
-        (for ``not_in``) or a - (for ``not_out``) coface inside cl{x}, so
-        outside bd-_k cl{x} or bd+_k cl{x}; and the members of cl{x} of
-        dimension >= k outside bd+_k cl{x}, with the + cofaces of the dim-k
-        elements of bd+_k cl{x} added.  A top b cannot sit right of x at
-        gluing dimension k exactly when cl{b} meets ``reach``.  Computed
-        once per element for every such k, so the table holds at most
-        ``3 * size * dim`` masks.
-        """
-        return self._split_row(x)[k]
-
     def _split_row(self, x: int) -> tuple[tuple[int, int, int], ...]:
-        """``split_masks(x, k)`` for every ``k < dims[x]``, in order of k."""
+        """The masks of cl{x} that the split search reads, for each k < dim x.
+
+        Entry k is ``(not_in, not_out, reach)``: the dim-k elements of
+        cl{x} with a + (for ``not_in``) or a - (for ``not_out``) coface
+        inside cl{x}, so outside bd-_k cl{x} or bd+_k cl{x}; and the members
+        of cl{x} of dimension >= k outside bd+_k cl{x}, with the + cofaces
+        of the dim-k elements of bd+_k cl{x} added.  A top b cannot sit
+        right of x at gluing dimension k exactly when cl{b} meets
+        ``reach``.  Computed once per element for every such k, so the
+        table holds at most ``3 * size * dim`` masks.
+        """
         row = self._split_masks.get(x)
         if row is None:
             cl = self.down[x]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import dircomplex
-from dircomplex import OgPoset, cube, dual, globe, simplex, gen_corpus
+from dircomplex import OgPoset, cube, dual, globe, simplex, gen_corpus, shapes
 from dircomplex.cli import run, export_dot, _SHAPES, _SHAPE_LIMIT
 
 
@@ -310,6 +310,12 @@ def test_shape_sizes_follow_their_closed_forms():
         size = _SHAPES[family][2]
         for n in params:
             assert size(n) == build(n).size, (family, n)
+    # E and Etilde are counted by the n-simplex they build on the way
+    for family, build in (("E", shapes.extr), ("Etilde", shapes.extrtil)):
+        size = _SHAPES[family][2]
+        for k in range(2):
+            for n in range(2, 5):
+                assert size(k, n) < build(k, n).whole.size, (family, k, n)
     # the limit admits simplex 13 and cube 9, and nothing larger
     for family, largest in (("simplex", 13), ("cube", 9)):
         size = _SHAPES[family][2]
@@ -325,12 +331,14 @@ def test_shapes_used_in_ci_are_built(capsys, args):
 
 @pytest.mark.parametrize("args", [["simplex", "40"], ["cube", "10"],
                                   ["globe", "10000"],
-                                  ["simplex", "1000000000000"]])
+                                  ["simplex", "1000000000000"],
+                                  ["E", "0", "40"], ["Etilde", "0", "40"]])
 def test_oversized_shape_is_refused_before_it_is_built(args):
-    # building simplex 40 ends in a MemoryError; the refusal builds nothing
+    # building simplex 40 ends in a MemoryError, and E and Etilde on n = 40
+    # build it first; the refusal builds nothing
     proc = subprocess.run(
         [sys.executable, "-m", "dircomplex.cli", "shape", *args],
         capture_output=True, text=True, env=_cli_env(), timeout=60)
     assert proc.returncode == 2 and not proc.stdout
-    assert proc.stderr == (f"usage: shape {' '.join(args)} has more than "
+    assert proc.stderr == (f"usage: shape {' '.join(args)} builds more than "
                            f"{_SHAPE_LIMIT} elements\n")

@@ -17,7 +17,7 @@ from dircomplex import (
 )
 from dircomplex import molecule
 from dircomplex.cli import run
-from dircomplex.molecule import _closed_codes, iter_splits
+from dircomplex.molecule import _closed_codes, _splits
 from dircomplex.ogposet import bits
 
 from test_topology import _oriented_graded_posets
@@ -161,6 +161,17 @@ def test_find_submolecule_reflexive_and_generator():
     assert chain is not None and len(chain) == 1
 
 
+def test_long_chain_is_recognized_within_the_recursion_limit():
+    # a chain of n arrows is the pasting of its first arrow with the rest,
+    # so recognition nests n - 1 splits deep: one stack frame per level
+    n = 700
+    p = OgPoset([0] * (n + 1) + [1] * n, [0] * (n + 1)
+                + [1 << i for i in range(n)], [0] * (n + 1)
+                + [1 << i + 1 for i in range(n)])
+    cert = is_molecule(p.whole())
+    assert cert is not None and cert.tree.k == 0
+
+
 def test_find_submolecule_after_interrupted_search(monkeypatch):
     # a search cut short by an exception must leave nothing in the memo
     # that hides a real submolecule from later searches on the same poset
@@ -168,16 +179,16 @@ def test_find_submolecule_after_interrupted_search(monkeypatch):
     pr = paste(globe(2), globe(2), 1)
     cu = is_molecule(pr.whole.whole())
     cv = is_molecule(pr.left_incl.image(globe(2).whole()))
-    real = molecule.is_molecule
+    real = molecule._splits
     calls = []
 
-    def interrupted(subset):
-        calls.append(subset)
+    def interrupted(p, mask):
+        calls.append(mask)
         if len(calls) == 1:
             raise RuntimeError("interrupted")
-        return real(subset)
+        return real(p, mask)
 
-    monkeypatch.setattr(molecule, "is_molecule", interrupted)
+    monkeypatch.setattr(molecule, "_splits", interrupted)
     with pytest.raises(RuntimeError):
         find_submolecule(cv, cu)
     monkeypatch.undo()
@@ -353,7 +364,7 @@ def test_split_walk_matches_exhaustive_scan(source):
             if u.mask in seen:
                 continue
             seen.add(u.mask)
-            got = [(l.mask, r.mask, k) for l, r, k in iter_splits(u)]
+            got = list(_splits(p, u.mask))
             assert got == _scan_splits(u), (source, name, bin(u.mask))
             checked += 1
             split += bool(got)
@@ -389,7 +400,7 @@ def test_forcing_rows_match_pair_definition(corpus_members, data):
     for k in range(u.dim):
         tops = [t for t in u.maximal() if p.dims[t] > k]
         for a in tops:
-            reach = p.split_masks(a, k)[2]
+            reach = p._split_row(a)[k][2]
             for b in tops:
                 if a != b:
                     assert bool(p.down[b] & reach) == \

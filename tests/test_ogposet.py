@@ -254,7 +254,7 @@ def test_mask_kernels_match_definitions(corpus_members, data):
                     reach |= 1 << y
                 if p.faces_plus[y] & outs:
                     reach |= 1 << y
-            assert p.split_masks(x, k) == (not_in, not_out, reach)
+            assert p._split_row(x)[k] == (not_in, not_out, reach)
 
 
 def _boundary_by_element(u, sign=None, n=None):
