@@ -35,7 +35,7 @@ from .topology import (
     SimplicialComplex, ChainComplex,
     nerve, nerve_map, cell_complex, homology, euler, face_poset_roundtrip,
 )
-from .corpus import Corpus, gen_corpus
+from .corpus import gen_corpus
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

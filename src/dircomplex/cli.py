@@ -88,10 +88,6 @@ def _emit_check(kind: str, ok: bool, cert, as_json: bool) -> None:
         print(f'{head}  "certificate": {body}\n}}')
 
 
-def _emit_complex(p: OgPoset) -> None:
-    print(p.to_json())
-
-
 # the most elements ``shape`` builds.  Memory grows with the square of the
 # size (every element's downward closure is a mask over all of them): the
 # largest shapes under it, simplex 13 (16,383 elements) and cube 9 (19,683),
@@ -104,17 +100,21 @@ def _simplex_size(n: int) -> int:
 
 
 # family -> (parameter count, builder, the least number of elements it
-# builds in closed form, or None): the element count of a globe, simplex or
-# cube, and for E and Etilde the n-simplex that ``extr(0, n)`` pastes onto
-# and that ``extr(k, n)`` and ``extrtil(k, n)`` recurse down to.  Exponents
-# are capped at 64, already far over the limit, so that a huge parameter
-# takes no huge power
+# builds in closed form): the element count of a globe, simplex, cube,
+# compositor phi or C, and for E and Etilde the n-simplex that
+# ``extr(0, n)`` pastes onto and that ``extr(k, n)`` and ``extrtil(k, n)``
+# recurse down to.  Invalid parameters count 0, so that the builder
+# reports them.  Exponents are capped at 64, already far over the limit,
+# so that a huge parameter takes no huge power
 _SHAPES = {
     "globe": (1, shapes.globe, lambda n: 2 * n + 1),
     "simplex": (1, shapes.simplex, _simplex_size),
     "cube": (1, shapes.cube, lambda n: 3 ** min(n, 64)),
-    "phi": (1, lambda m: shapes.phi(m).whole, None),
-    "C": (2, lambda n, k: shapes.compositor_c(n, k).whole, None),
+    "phi": (1, lambda m: shapes.phi(m).whole,
+            lambda m: 2 * m + 3 if m >= 2 else 0),
+    "C": (2, lambda n, k: shapes.compositor_c(n, k).whole,
+          lambda n, k: (2 * n + 3 + 4 * (n - k) * (n - k - 1)
+                        if 0 <= k < n else 0)),
     "E": (2, lambda k, n: shapes.extr(k, n).whole,
           lambda k, n: _simplex_size(n)),
     "Etilde": (2, lambda k, n: shapes.extrtil(k, n).whole,
@@ -133,34 +133,30 @@ def _cmd_shape(args) -> int:
     count, build, size = _SHAPES[args.family]
     if len(args.params) != count:
         return _arity_error(f"shape {args.family}", (count,), args.params)
-    if size is not None and size(*args.params) > _SHAPE_LIMIT:
+    if size(*args.params) > _SHAPE_LIMIT:
         print(f"usage: shape {args.family} "
               f"{' '.join(map(str, args.params))} builds more than "
               f"{_SHAPE_LIMIT} elements", file=sys.stderr)
         return 2
-    _emit_complex(build(*args.params))
+    print(build(*args.params).to_json())
     return 0
 
 
+# name -> builder of the map; gamma builds an assignment, not a PosetMap
+_MAPS = {"a": shapes.folding_a, "c": shapes.folding_c,
+         "gamma": shapes.last_vertex, "sprec": shapes.sprec}
+
+
 def _cmd_map(args) -> int:
-    name = args.name
     if len(args.params) != 1:
-        return _arity_error(f"map {name}", (1,), args.params)
-    n = args.params[0]
-    if name == "a":
-        m = shapes.folding_a(n)
-    elif name == "c":
-        m = shapes.folding_c(n)
-    elif name == "sprec":
-        m = shapes.sprec(n)
-    elif name == "gamma":
-        _emit({"assignment": list(shapes.last_vertex(n))}, args.json)
-        return 0
+        return _arity_error(f"map {args.name}", (1,), args.params)
+    m = _MAPS[args.name](args.params[0])
+    if args.name == "gamma":
+        _emit({"assignment": list(m)}, args.json)
     else:
-        raise SystemExit(2)
-    _emit({"source": m.source.to_json_obj(),
-           "target": m.target.to_json_obj(),
-           "assignment": list(m.assignment)}, args.json)
+        _emit({"source": m.source.to_json_obj(),
+               "target": m.target.to_json_obj(),
+               "assignment": list(m.assignment)}, args.json)
     return 0
 
 
@@ -226,7 +222,7 @@ def _cmd_op(args) -> int:
     if len(args.args) not in counts:
         return _arity_error(f"op {args.operation}", counts, args.args)
     res = build(*args.args)
-    _emit_complex(res if isinstance(res, OgPoset) else res.whole)
+    print((res if isinstance(res, OgPoset) else res.whole).to_json())
     if args.emit_maps and maps:
         _emit({k: list(getattr(res, attr).assignment)
                for k, attr in maps.items()}, True)
@@ -272,10 +268,10 @@ def _cmd_topo(args) -> int:
 def _cmd_corpus(args) -> int:
     corp = gen_corpus(args.seed, args.max_dim, args.max_size)
     if args.emit:
-        if args.emit not in corp.complexes:
+        if args.emit not in corp:
             print(f"no corpus member named {args.emit}", file=sys.stderr)
             return 2
-        _emit_complex(corp[args.emit])
+        print(corp[args.emit].to_json())
         return 0
     for name, p in corp.items():
         print(f"{name}\t{p.size}\t{p.dim}")
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_shape)
 
     mp = sub.add_parser("map", help="emit a named map")
-    mp.add_argument("name", choices=["a", "c", "gamma", "sprec"])
+    mp.add_argument("name", choices=list(_MAPS))
     mp.add_argument("params", nargs="*", type=int)
     mp.set_defaults(func=_cmd_map)
 
@@ -363,7 +359,7 @@ def run(argv) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise
-    except (InvalidStructure, ValueError, OSError) as exc:
+    except (InvalidStructure, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .ogposet import OgPoset
 from .molecule import is_molecule, is_regular_complex
@@ -15,32 +14,13 @@ from .molecule import NotAMolecule
 from .shapes import globe, simplex, cube, phi
 
 
-@dataclass
-class Corpus:
-    """Named complexes, generation-deterministic in (seed, budget)."""
-
-    seed: int
-    max_dim: int
-    max_elements: int
-    complexes: dict[str, OgPoset] = field(default_factory=dict)
-
-    def items(self):
-        return self.complexes.items()
-
-    def __getitem__(self, name):
-        return self.complexes[name]
-
-    def __len__(self):
-        return len(self.complexes)
-
-
 def gen_corpus(seed: int = 0, max_dim: int = 4, max_elements: int = 200
-               ) -> Corpus:
+               ) -> dict[str, OgPoset]:
     """Every shape family up to the budget plus randomized pastings and
-    products, all filtered to regular molecule complexes."""
+    products, all filtered to regular molecule complexes, by name; the
+    same arguments give the same dict."""
     rng = random.Random(seed)
-    corp = Corpus(seed, max_dim, max_elements)
-    out = corp.complexes
+    out: dict[str, OgPoset] = {}
 
     def add(name: str, p: OgPoset) -> None:
         if name in out or p.dim > max_dim or p.size > max_elements:
@@ -102,4 +82,4 @@ def gen_corpus(seed: int = 0, max_dim: int = 4, max_elements: int = 200
             continue
         add(name, built)
         names = list(out)
-    return corp
+    return out

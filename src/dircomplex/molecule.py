@@ -421,34 +421,19 @@ def is_totally_loop_free(p: OgPoset) -> bool:
 
     Downward covering edges keep their direction when labelled +, and are
     reversed when labelled -; a directed cycle in the result is a loop.
+    Kahn's algorithm: y comes after its - faces and after everything it is
+    a + face of, and the poset is loop-free when peeling the elements with
+    nothing left before them takes every element.
     """
-    succ = [[] for _ in range(p.size)]
-    for y in range(p.size):
-        for x in bits(p.faces_plus[y]):
-            succ[y].append(x)
-        for x in bits(p.faces_minus[y]):
-            succ[x].append(y)
-    state = [0] * p.size  # 0 new, 1 on stack, 2 done
-    for start in range(p.size):
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return False
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return True
+    before = [(p.faces_minus[y] | p.cofaces_plus[y]).bit_count()
+              for y in range(p.size)]
+    ready = [y for y in range(p.size) if not before[y]]
+    for x in ready:
+        for y in bits(p.cofaces_minus[x] | p.faces_plus[x]):
+            before[y] -= 1
+            if not before[y]:
+                ready.append(y)
+    return len(ready) == p.size
 
 
 def composable(a: ClosedSubset, b: ClosedSubset, k: int) -> bool:

@@ -594,21 +594,25 @@ def find_isomorphism(p: OgPoset, q: OgPoset) -> Optional[PosetMap]:
                 if not used[c] and q_prof[c] == p_prof[x]
                 and q.dims[c] == p.dims[x]]
 
-    def backtrack(pos):
-        if pos == len(order):
-            return True
+    # depth-first with the candidates left at each placed position on an
+    # explicit stack, so that no recursion limit bounds the size
+    tries: list[Iterator[int]] = []
+    pos = 0
+    while pos < len(order):
         x = order[pos]
-        for c in candidates(x):
-            assign[x] = c
+        if assign[x] is None:
+            tries.append(iter(candidates(x)))
+        else:  # back from a dead end: free the current image of x
+            used[assign[x]] = False
+        assign[x] = c = next(tries[-1], None)
+        if c is None:
+            tries.pop()
+            if not tries:
+                return None
+            pos -= 1
+        else:
             used[c] = True
-            if backtrack(pos + 1):
-                return True
-            assign[x] = None
-            used[c] = False
-        return False
-
-    if not backtrack(0):
-        return None
+            pos += 1
     f = PosetMap(p, q, tuple(assign))  # type: ignore[arg-type]
     if not f.preserves_faces_exactly():
         return None

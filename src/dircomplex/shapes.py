@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 from .ogposet import (
     OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism,
@@ -20,34 +19,6 @@ from .construct import (
     BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
     gray, inflate, inflate_map, _agreeing_map, _boundary_pairing,
 )
-
-
-@dataclass(frozen=True)
-class BitString:
-    """Address of a simplex element: which vertices the face uses."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not any(self.bits) or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("need a nonzero 0/1 string")
-
-    @property
-    def dim(self) -> int:
-        return sum(self.bits) - 1
-
-    def faces(self, sign: int) -> list["BitString"]:
-        """Drop one used vertex; the sign alternates with the prefix count."""
-        out = []
-        ones = 0
-        for k, b in enumerate(self.bits):
-            if b:
-                want = +1 if ones % 2 == 0 else -1
-                if want == sign and self.dim >= 1:
-                    out.append(BitString(
-                        self.bits[:k] + (0,) + self.bits[k + 1:]))
-                ones += 1
-        return out
 
 
 # -- globes ---------------------------------------------------------------
@@ -125,14 +96,16 @@ def simplex(n: int) -> OgPoset:
     table = _simplex_index_table(n)
     dims, fm, fp = [], [], []
     for b in elems:
-        dims.append(sum(b) - 1)
-        m = pl = 0
-        for face in BitString(b).faces(-1):
-            m |= 1 << table[face.bits]
-        for face in BitString(b).faces(+1):
-            pl |= 1 << table[face.bits]
-        fm.append(m)
-        fp.append(pl)
+        used = [k for k, x in enumerate(b) if x]
+        dims.append(len(used) - 1)
+        # dropping the j-th used vertex gives a + face for even j, a - face
+        # for odd j
+        faces = [0, 0]
+        if len(used) > 1:  # a vertex has no faces
+            for j, k in enumerate(used):
+                faces[j % 2] |= 1 << table[b[:k] + (0,) + b[k + 1:]]
+        fp.append(faces[0])
+        fm.append(faces[1])
     return OgPoset(dims, fm, fp)
 
 
@@ -368,13 +341,13 @@ def extr(k: int, n: int) -> ExtrResult:
         face = d0.image(simplex(n - 1).whole())
         pr = paste_along(inf.whole, simplex(n), face, +1)
         s0 = simplex_degeneracy(n - 1, 0)
-        assign: list[Optional[int]] = [None] * pr.whole.size
-        for x in range(simplex(n).size):
-            assign[pr.right_incl(x)] = inf.iota_minus(s0(x))
-        for y in range(inf.whole.size):
-            assign[pr.left_incl(y)] = y
-        return ExtrResult(pr.whole, pr.left_incl,
-                          PosetMap(pr.whole, inf.whole, tuple(assign)))  # type: ignore
+        retr = _agreeing_map(
+            pr.whole, inf.whole,
+            [(pr.right_incl(x), inf.iota_minus(s0(x)))
+             for x in range(simplex(n).size)]
+            + [(pr.left_incl(y), y) for y in range(inf.whole.size)],
+            "retraction clauses disagree")
+        return ExtrResult(pr.whole, pr.left_incl, retr)
 
     prev = extr(k - 1, n)
     tower_prev = iterated_inflate(simplex(n - 1), k)      # O^k(D^{n-1})

@@ -93,16 +93,19 @@ class ChainComplex:
     columns: list[list[dict[int, int]]]
 
     def check_dd_zero(self) -> bool:
-        for d in range(2, len(self.columns)):
-            below = self.columns[d - 1]
-            for col in self.columns[d]:
-                acc: dict[int, int] = {}
-                for f, c in col.items():
-                    for g, e in below[f].items():
-                        acc[g] = acc.get(g, 0) + c * e
-                if any(acc.values()):
-                    return False
-        return True
+        return all(_dd_zero(col, self.columns[d - 1])
+                   for d in range(2, len(self.columns))
+                   for col in self.columns[d])
+
+
+def _dd_zero(col: dict[int, int], below) -> bool:
+    """Whether the boundary of ``col`` has zero boundary; ``below[f]`` is
+    the column of face f."""
+    acc: dict[int, int] = {}
+    for f, c in col.items():
+        for g, e in below[f].items():
+            acc[g] = acc.get(g, 0) + c * e
+    return not any(acc.values())
 
 
 def chain_complex(k: SimplicialComplex) -> ChainComplex:
@@ -364,15 +367,9 @@ def _cell_pass(p: OgPoset, mask: int) -> Iterator[tuple[int, bool, bool]]:
         if not sphere:
             yield x, False, False
             continue
-        if d == 1:
-            # on reduced chains every vertex has boundary 1
-            dd_zero = sum(col.values()) == 0
-        else:
-            dd: dict[int, int] = {}
-            for f, c in col.items():
-                for g, e in cols[f].items():
-                    dd[g] = dd.get(g, 0) + c * e
-            dd_zero = not any(dd.values())
+        # on reduced chains every vertex has boundary 1
+        dd_zero = (sum(col.values()) == 0 if d == 1
+                   else _dd_zero(col, cols))
         if dd_zero:
             cellular |= bit
         yield x, True, dd_zero

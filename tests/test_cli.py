@@ -187,7 +187,7 @@ def test_library_and_cli_agree(tmp_path, capsys):
     code, out, _ = invoke(capsys, "corpus", "--seed", "0", "--max-dim", "2",
                           "--max-size", "40")
     listed = [line.split("\t")[0] for line in out.strip().splitlines()]
-    assert listed == list(corp.complexes)
+    assert listed == list(corp)
 
 
 def test_stdin_dash(monkeypatch, capsys):
@@ -316,6 +316,13 @@ def test_shape_sizes_follow_their_closed_forms():
         for k in range(2):
             for n in range(2, 5):
                 assert size(k, n) < build(k, n).whole.size, (family, k, n)
+    # the compositors are counted exactly, on valid parameters only
+    for m in range(2, 9):
+        assert _SHAPES["phi"][2](m) == shapes.phi(m).whole.size, m
+    for n in range(2, 7):
+        for k in range(n):
+            assert _SHAPES["C"][2](n, k) == \
+                shapes.compositor_c(n, k).whole.size, (n, k)
     # the limit admits simplex 13 and cube 9, and nothing larger
     for family, largest in (("simplex", 13), ("cube", 9)):
         size = _SHAPES[family][2]
@@ -332,7 +339,8 @@ def test_shapes_used_in_ci_are_built(capsys, args):
 @pytest.mark.parametrize("args", [["simplex", "40"], ["cube", "10"],
                                   ["globe", "10000"],
                                   ["simplex", "1000000000000"],
-                                  ["E", "0", "40"], ["Etilde", "0", "40"]])
+                                  ["E", "0", "40"], ["Etilde", "0", "40"],
+                                  ["phi", "100000"], ["C", "200", "0"]])
 def test_oversized_shape_is_refused_before_it_is_built(args):
     # building simplex 40 ends in a MemoryError, and E and Etilde on n = 40
     # build it first; the refusal builds nothing
@@ -342,3 +350,33 @@ def test_oversized_shape_is_refused_before_it_is_built(args):
     assert proc.returncode == 2 and not proc.stdout
     assert proc.stderr == (f"usage: shape {' '.join(args)} builds more than "
                            f"{_SHAPE_LIMIT} elements\n")
+
+
+@pytest.mark.parametrize("args", [["phi", "1"], ["C", "3", "3"]])
+def test_invalid_compositor_parameters_are_errors(capsys, args):
+    code, out, err = invoke(capsys, "shape", *args)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_compositor_is_built():
+    # its boundary search used to recurse once per element
+    proc = subprocess.run(
+        [sys.executable, "-m", "dircomplex.cli", "shape", "phi", "500"],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0 and not proc.stderr
+    assert OgPoset.from_json(proc.stdout).size == 1003
+
+
+def test_too_deep_certificate_is_one_error_line(tmp_path, capsys):
+    # a path of 1,200 arrows nests its certificate past the recursion limit
+    n = 1200
+    chain = OgPoset([0] * (n + 1) + [1] * n,
+                    [0] * (n + 1) + [1 << i for i in range(n)],
+                    [0] * (n + 1) + [1 << i + 1 for i in range(n)])
+    f = tmp_path / "chain.json"
+    f.write_text(chain.to_json())
+    code, out, err = invoke(capsys, "check", "molecule", str(f))
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -152,6 +152,52 @@ def test_loop_freeness():
     assert not is_totally_loop_free(cyc)
 
 
+def _loop_free_by_dfs(p: OgPoset) -> bool:
+    """The library's earlier test: an iterative depth-first search for a
+    directed cycle, + faces after the element and - faces before it."""
+    succ = [[] for _ in range(p.size)]
+    for y in range(p.size):
+        for x in bits(p.faces_plus[y]):
+            succ[y].append(x)
+        for x in bits(p.faces_minus[y]):
+            succ[x].append(y)
+    state = [0] * p.size  # 0 new, 1 on stack, 2 done
+    for start in range(p.size):
+        if state[start]:
+            continue
+        stack = [(start, iter(succ[start]))]
+        state[start] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if state[nxt] == 1:
+                    return False
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(succ[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                stack.pop()
+    return True
+
+
+def test_loop_freeness_matches_dfs_on_corpus(corpus_members):
+    for name, p in corpus_members:
+        assert is_totally_loop_free(p) == _loop_free_by_dfs(p), name
+        for x in range(p.size):
+            q = ClosedSubset(p, p.down[x]).boundary().extract()[0]
+            assert is_totally_loop_free(q) == _loop_free_by_dfs(q), (name, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_oriented_graded_posets())
+def test_loop_freeness_matches_dfs_on_random_posets(p):
+    assert is_totally_loop_free(p) == _loop_free_by_dfs(p)
+
+
 def test_find_submolecule_reflexive_and_generator():
     p = paste(globe(2), globe(2), 1).whole
     cert = is_molecule(p.whole())

@@ -170,6 +170,13 @@ def test_find_isomorphism_is_identity_on_molecules(corpus_members):
         assert iso is not None and iso.assignment == tuple(range(p.size)), name
 
 
+def test_find_isomorphism_is_not_bounded_by_the_recursion_limit():
+    # one search position per element: 1,801 is past the default limit
+    g = globe(600)
+    iso = find_isomorphism(g, OgPoset.from_json(g.to_json()))
+    assert iso is not None and iso.assignment == tuple(range(g.size))
+
+
 def test_find_isomorphism_negative():
     assert find_isomorphism(globe(2), simplex(2)) is None
     # both are the arrow, up to the vertex relabelling of the simplex order

@@ -12,7 +12,7 @@ from dircomplex import (
     phi, compositor_c, extr, extrtil, horn, last_vertex, enumerate_maps,
     gray, join, inflate, inflate_map,
 )
-from dircomplex.shapes import BitString, sprec, iterated_inflate
+from dircomplex.shapes import sprec, iterated_inflate
 from dircomplex.ogposet import bits
 
 POINT = OgPoset.point()
@@ -45,13 +45,22 @@ def test_simplex_encoding_dimensions():
 
 
 def test_simplex_faces_follow_parity():
-    p = simplex(3)
-    for i in range(p.size):
-        b = BitString(simplex_bits(3, i))
-        want_minus = {simplex_index(f.bits) for f in b.faces(-1)}
-        want_plus = {simplex_index(f.bits) for f in b.faces(+1)}
-        assert set(bits(p.faces_minus[i])) == want_minus
-        assert set(bits(p.faces_plus[i])) == want_plus
+    # j is a face of i when it drops one vertex v of i; the sign is + when
+    # i uses an even number of vertices below v
+    for n in range(5):
+        p = simplex(n)
+        for i in range(p.size):
+            a = simplex_bits(n, i)
+            want = {-1: set(), +1: set()}
+            for j in range(p.size):
+                gone = [v for v, (x, y) in enumerate(zip(a, simplex_bits(n, j)))
+                        if x != y]
+                if len(gone) == 1 and a[gone[0]]:
+                    want[(-1) ** sum(a[:gone[0]])].add(j)
+            assert set(bits(p.faces_minus[i])) == want[-1]
+            assert set(bits(p.faces_plus[i])) == want[+1]
+    assert simplex(2).faces_plus[6] == 1 << 3 | 1 << 5   # 011 and 110
+    assert simplex(2).faces_minus[6] == 1 << 4           # 101
 
 
 def test_simplex_order_is_vertex_containment():
