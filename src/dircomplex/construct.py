@@ -8,6 +8,7 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .ogposet import (
@@ -230,23 +231,36 @@ def compos(u: OgPoset) -> OgPoset:
 
 def gray_with_index(p: OgPoset, q: OgPoset
                     ) -> tuple[OgPoset, dict[tuple[int, int], int]]:
-    """Gray product plus the (p element, q element) -> product element map.
+    """Gray product plus the (p element, q element) -> product element map."""
+    dims, fm, fp, idx = _gray_tables(
+        *((r.dims, r.faces_minus, r.faces_plus) for r in (p, q)))
+    return OgPoset(dims, fm, fp), idx
+
+
+def _gray_tables(p, q):
+    """The Gray product of two posets given as ``(dims, faces_minus,
+    faces_plus)`` tables, each sorted by dimension, as such tables plus
+    the pair index; nothing is validated here.
 
     Pairs are numbered in (dimension sum, p element, q element) order, so
     the faces of a pair are numbered before it, at ``pos[i][j]``.  The
     second factor's orientation is twisted by the first factor's dimension.
     """
+    (p_dims, *p_tab), (q_dims, *q_tab) = p, q
     p_faces, q_faces = ([(list(bits(m)), list(bits(pl)))
-                         for m, pl in zip(r.faces_minus, r.faces_plus)]
-                        for r in (p, q))
+                         for m, pl in zip(*tab)] for tab in (p_tab, q_tab))
     q_twisted = [(pl, m) for m, pl in q_faces]
-    q_by_dim = [list(bits(q.dim_mask(e))) for e in range(q.dim + 1)]
-    pos = [[0] * q.size for _ in range(p.size)]
+    p_dim, q_dim = (max(dims, default=-1) for dims in (p_dims, q_dims))
+    p_by_dim = [range(bisect_left(p_dims, d), bisect_right(p_dims, d))
+                for d in range(p_dim + 1)]
+    q_by_dim = [range(bisect_left(q_dims, d), bisect_right(q_dims, d))
+                for d in range(q_dim + 1)]
+    pos = [[0] * len(q_dims) for _ in p_dims]
     idx, dims, fm, fp = {}, [], [], []
-    for s in range(p.dim + q.dim + 1):
-        for d in range(max(0, s - q.dim), min(s, p.dim) + 1):
+    for s in range(p_dim + q_dim + 1):
+        for d in range(max(0, s - q_dim), min(s, p_dim) + 1):
             qf = q_twisted if d % 2 else q_faces
-            for i in bits(p.dim_mask(d)):
+            for i in p_by_dim[d]:
                 row, (pm, pp) = pos[i], p_faces[i]
                 for j in q_by_dim[s - d]:
                     idx[(i, j)] = row[j] = len(dims)
@@ -263,7 +277,7 @@ def gray_with_index(p: OgPoset, q: OgPoset
                         pl |= 1 << row[j2]
                     fm.append(m)
                     fp.append(pl)
-    return OgPoset(dims, fm, fp), idx
+    return dims, fm, fp, idx
 
 
 def gray(p: OgPoset, q: OgPoset) -> OgPoset:
@@ -295,27 +309,23 @@ def gray_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
     return lhs == rhs
 
 
-def _with_bottom(p: OgPoset) -> OgPoset:
-    """p with a least element at index 0 and every dimension one higher;
-    each vertex gets the bottom as its + face."""
-    return OgPoset([0] + [d + 1 for d in p.dims],
-                   [0] + [m << 1 for m in p.faces_minus],
-                   [0] + [(m << 1) | int(d == 0)
-                          for d, m in zip(p.dims, p.faces_plus)])
-
-
 def join_with_index(p: OgPoset, q: OgPoset
                     ) -> tuple[OgPoset, dict[tuple[int, int], int]]:
     """Join plus the pair index; -1 stands for the absent factor.
 
     The join is the Gray product of the two posets with a least element
     adjoined, less its least element (bottom, bottom), with dimensions
-    shifted back down by one.
+    shifted back down by one.  The bottom, at index 0, is the + face of
+    every vertex; only the join itself is built as a poset and validated.
     """
-    prod, idx = gray_with_index(_with_bottom(p), _with_bottom(q))
-    joined = OgPoset([d - 1 for d in prod.dims[1:]],
-                     [m >> 1 for m in prod.faces_minus[1:]],
-                     [m >> 1 for m in prod.faces_plus[1:]])
+    bottomed = [([0] + [d + 1 for d in r.dims],
+                 [0] + [m << 1 for m in r.faces_minus],
+                 [0] + [m << 1 | (d == 0)
+                        for d, m in zip(r.dims, r.faces_plus)])
+                for r in (p, q)]
+    dims, fm, fp, idx = _gray_tables(*bottomed)
+    joined = OgPoset([d - 1 for d in dims[1:]], [m >> 1 for m in fm[1:]],
+                     [m >> 1 for m in fp[1:]])
     return joined, {(i - 1, j - 1): n - 1 for (i, j), n in idx.items() if n}
 
 

@@ -447,32 +447,40 @@ def composable(a: ClosedSubset, b: ClosedSubset, k: int) -> bool:
 
 
 def enumerate_molecules(p: OgPoset) -> list[ClosedSubset]:
-    """Every molecule subset of p, by closing the atoms under pasting.
+    """Every molecule subset of p, sorted by mask: the atoms closed under
+    pasting, which is exactly the inductive definition.
 
-    The pasting closure is exactly the inductive definition, so this is
-    complete; intended for desk-scale complexes.
+    Each molecule's boundaries bd-_k and bd+_k, k < dim, are computed once,
+    when it is found, and it is filed under ``(sign, k, boundary)``.  Then
+    a #k b is defined exactly when a is filed under (+1, k, bd-_k b) and
+    a & b is that boundary, so the partners of a molecule are looked up,
+    not searched for.  Only k below both dimensions is tried: at a larger
+    k one part contains the other, and their union is already known.
+    Intended for desk-scale complexes.
     """
     found: dict[int, ClosedSubset] = {}
+    filed: dict[tuple[int, int, int], list[int]] = {}
+    todo: list[tuple[int, list[tuple[int, int]]]] = []
+
+    def add(mask: int) -> None:
+        s = found[mask] = ClosedSubset(p, mask)
+        bds = [(s.boundary(-1, k).mask, s.boundary(+1, k).mask)
+               for k in range(s.dim)]
+        for k, (minus, plus) in enumerate(bds):
+            filed.setdefault((-1, k, minus), []).append(mask)
+            filed.setdefault((+1, k, plus), []).append(mask)
+        todo.append((mask, bds))
+
     for x in range(p.size):
-        s = ClosedSubset(p, p.down[x])
-        found[s.mask] = s
-    frontier = list(found.values())
-    while frontier:
-        fresh = []
-        current = list(found.values())
-        for a in current:
-            for b in frontier:
-                for pair in ((a, b), (b, a)):
-                    u = pair[0].mask | pair[1].mask
-                    if u in found:
-                        continue
-                    for k in range(max(pair[0].dim, pair[1].dim)):
-                        if composable(pair[0], pair[1], k):
-                            s = ClosedSubset(p, u)
-                            found[u] = s
-                            fresh.append(s)
-                            break
-        frontier = fresh
+        add(p.down[x])
+    while todo:
+        b, bds = todo.pop()
+        for k, (minus, plus) in enumerate(bds):
+            # left partners end in bd-_k b, right partners start in bd+_k b
+            for sign, face in ((+1, minus), (-1, plus)):
+                for a in filed.get((sign, k, face), ()):
+                    if a & b == face and a | b not in found:
+                        add(a | b)
     return sorted(found.values(), key=lambda s: s.mask)
 
 

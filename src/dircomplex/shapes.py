@@ -458,7 +458,13 @@ def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
     A map sends cl{x} onto cl{f(x)}, so f on cl{x} - x forces f(x): it is the
     greatest element of that image or has it as its proper down-set.  Going
     bottom-up, each element right after the last vertex of its closure, only
-    vertices and parallel cells branch; each leaf is checked in full."""
+    vertices and parallel cells branch.  Once f(x) is placed, the law at x
+    is checked for each n < dim x, and the first mismatch prunes the branch:
+    f must send bd-_n cl{x} and bd+_n cl{x} onto bd-_n cl{f(x)} and
+    bd+_n cl{f(x)}.  At n = dim x the law holds by the choice of f(x), so
+    every map yielded passes ``PosetMap.check`` at every element and is not
+    checked again.  The boundaries are computed once per element, for this
+    call only: those of u up front, those of v on first use."""
     if u.whole().greatest() is None:
         raise ValueError("map enumeration works on atoms")
     forced: dict[int, list[int]] = {}  # f(cl{x} - x) -> choices of f(x)
@@ -469,16 +475,40 @@ def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
         (u.down[x] & u.dim_mask(0)).bit_length(), u.dims[x], x))
     assign = [0] * u.size
 
+    def rows(p, x, dim):
+        cl = ClosedSubset(p, p.down[x])
+        return [(cl.boundary(-1, n).mask, cl.boundary(+1, n).mask)
+                for n in range(dim)]
+
+    # u's rows as element lists, to be mapped by image(); v's as masks
+    u_rows = [[(list(bits(minus)), list(bits(plus)))
+               for minus, plus in rows(u, x, u.dims[x])]
+              for x in range(u.size)]
+    u_faces = [list(bits(u.faces(x))) for x in range(u.size)]
+    v_rows: dict[int, list[tuple[int, int]]] = {}
+
+    def image(elements):
+        out = 0
+        for y in elements:
+            out |= 1 << assign[y]
+        return out
+
+    def lawful(x, c):
+        want = v_rows.get(c)
+        if want is None:
+            want = v_rows[c] = rows(v, c, u.dim)
+        return all(image(minus) == w_minus and image(plus) == w_plus
+                   for (minus, plus), (w_minus, w_plus)
+                   in zip(u_rows[x], want))
+
     def search(pos):
         if pos == len(walk):
-            f = PosetMap(u, v, tuple(assign))
-            if f.is_valid():
-                yield f
+            yield PosetMap(u, v, tuple(assign))
             return
         x = walk[pos]
-        below = v.closure_mask(sum({1 << assign[y] for y in bits(u.faces(x))}))
-        for assign[x] in forced.get(below, ()):
-            yield from search(pos + 1)
+        for assign[x] in forced.get(v.closure_mask(image(u_faces[x])), ()):
+            if lawful(x, assign[x]):
+                yield from search(pos + 1)
 
     top_down = sorted(range(u.size), key=lambda x: (-u.dims[x], x))
     return sorted(search(0), key=lambda f: [f(x) for x in top_down])

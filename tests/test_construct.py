@@ -17,7 +17,7 @@ from dircomplex import (
     folding_a,
 )
 from dircomplex.construct import (
-    amalgamate, gray_with_index, join_with_index, suspend_map, _with_bottom,
+    amalgamate, gray_with_index, join_with_index, suspend_map,
 )
 from dircomplex.ogposet import bits
 
@@ -564,6 +564,15 @@ def _gray_by_sort(p, q):
         fm.append(m)
         fp.append(pl)
     return (dims, fm, fp), idx
+
+
+def _with_bottom(p):
+    """p with a least element at index 0 and every dimension one higher;
+    each vertex gets the bottom as its + face."""
+    return OgPoset([0] + [d + 1 for d in p.dims],
+                   [0] + [m << 1 for m in p.faces_minus],
+                   [0] + [(m << 1) | int(d == 0)
+                          for d, m in zip(p.dims, p.faces_plus)])
 
 
 def _tables(p):

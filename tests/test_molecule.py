@@ -12,7 +12,7 @@ from dircomplex import (
     OgPoset, ClosedSubset,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule, NotAMolecule,
-    composable,
+    composable, enumerate_molecules,
     paste, globe, simplex, cube, phi, gray, gen_corpus,
 )
 from dircomplex import molecule
@@ -596,3 +596,44 @@ def test_composable_agrees_with_its_two_boundaries(corpus_members, data):
             assert composable(u, v, k) == (
                 u.boundary(+1, k).mask == inter
                 and v.boundary(-1, k).mask == inter), k
+
+
+def _molecules_by_pairs(p):
+    """Every molecule mask of p, ascending: the atoms closed under pasting
+    by trying each known molecule against each new one, in both orders and
+    at every k below the larger dimension."""
+    found = {p.down[x]: ClosedSubset(p, p.down[x]) for x in range(p.size)}
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for a in list(found.values()):
+            for b in frontier:
+                for left, right in ((a, b), (b, a)):
+                    u = left.mask | right.mask
+                    if u in found:
+                        continue
+                    if any(composable(left, right, k)
+                           for k in range(max(left.dim, right.dim))):
+                        found[u] = ClosedSubset(p, u)
+                        fresh.append(found[u])
+        frontier = fresh
+    return sorted(found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_oriented_graded_posets())
+def test_molecule_closure_matches_pairwise_closure_on_random_posets(p):
+    assert [s.mask for s in enumerate_molecules(p)] == _molecules_by_pairs(p)
+
+
+def test_molecule_closure_matches_pairwise_closure_on_corpus(corpus_members):
+    for name, p in corpus_members:
+        if p.size <= 40:
+            assert [s.mask for s in enumerate_molecules(p)] \
+                == _molecules_by_pairs(p), name
+
+
+def test_molecule_closure_counts_are_pinned():
+    pool = OgPoset.from_json((_POOL / "C4-1.json").read_text())
+    assert len(enumerate_molecules(cube(4))) == 521
+    assert len(enumerate_molecules(pool)) == 868

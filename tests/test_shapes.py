@@ -356,10 +356,19 @@ def _brute_force_maps(u, v):
     return found
 
 
+# arrows with a target and no source, and with a source and no target:
+# atoms that are no cells, on which each sign of the law decides alone
+TARGET_ONLY = OgPoset((0, 1), (0, 0), (0, 0b1))
+SOURCE_ONLY = OgPoset((0, 1), (0, 0b1), (0, 0))
+
+
 @pytest.mark.parametrize("u, v", [
     (simplex(1), simplex(1)), (simplex(2), simplex(1)),
     (globe(2), simplex(2)), (simplex(2), globe(2)), (POINT, simplex(2)),
-], ids=["s1-s1", "s2-s1", "g2-s2", "s2-g2", "pt-s2"])
+    (globe(2), cube(2)), (cube(2), globe(2)),
+    (TARGET_ONLY, POINT), (SOURCE_ONLY, POINT),
+], ids=["s1-s1", "s2-s1", "g2-s2", "s2-g2", "pt-s2", "g2-c2", "c2-g2",
+        "target-pt", "source-pt"])
 def test_enumerate_maps_matches_brute_force(u, v):
     assert [f.assignment for f in enumerate_maps(u, v)] \
         == _brute_force_maps(u, v)
@@ -377,6 +386,15 @@ def test_enumerate_maps_counts_with_parallel_cells():
     ]
     for u, v, count in cases:
         assert len(enumerate_maps(u, v)) == count
+
+
+def test_enumerate_maps_between_three_dimensional_atoms():
+    # every map is yielded without a check at the leaf: check() each here
+    for v, count in ((cube(3), 267), (simplex(3), 216)):
+        maps = enumerate_maps(cube(3), v)
+        assert len(maps) == count
+        for f in maps:
+            f.check()
 
 
 def test_enumerate_maps_needs_an_atom_source():
