@@ -16,7 +16,7 @@ from .molecule import (
     MoleculeCert, NotAMolecule,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule,
-    composable, enumerate_molecules, ClassTag, class_tag,
+    composable, enumerate_molecules,
 )
 from .construct import (
     PastingResult, BoundaryMismatch, NotASubmolecule, NotSpherical, NotClosed,

@@ -10,7 +10,7 @@ checker can re-verify by recomputing the three set equations at each node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .ogposet import OgPoset, ClosedSubset, bits
 
@@ -147,25 +147,6 @@ class MoleculeCert:
 _KEPT_TEXT = 8192
 
 
-@dataclass(frozen=True)
-class ClassTag:
-    """Which of the named molecule classes a subset belongs to."""
-
-    spherical_boundary: bool
-    totally_loop_free: bool
-    regular_ambient: bool
-
-
-def class_tag(u: ClosedSubset) -> ClassTag:
-    cert = is_molecule(u)
-    sub, _ = u.extract()
-    return ClassTag(
-        spherical_boundary=cert is not None and has_spherical_boundary(cert),
-        totally_loop_free=is_totally_loop_free(sub),
-        regular_ambient=is_regular_complex(u.parent),
-    )
-
-
 def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
     """Every closed left part, as codes ascending, but 0 and the full code.
 
@@ -185,31 +166,33 @@ def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
     full = (1 << t) - 1
     code = 0
     while True:
-        for i in range(t):
-            bit = 1 << i
-            if code & bit:
-                continue
-            above = -(bit << 1)
-            lacks = above & ~code  # bit i may force none of these
-            closed = todo = code & above | bit
-            while todo:
-                j = todo.bit_length() - 1
-                todo ^= 1 << j
-                row = rows[j]
-                if row < 0:
-                    row = 0
-                    r = reach[j]
-                    for b, d in enumerate(downs):
-                        if d & r:
-                            row |= 1 << b
-                    rows[j] = row
-                todo |= row & ~closed
-                closed |= row
-                if closed & lacks:
+        bit = 1
+        while bit <= full:  # bit i, for i = 0, 1, ...
+            if not code & bit:
+                above = -(bit << 1)
+                lacks = above & ~code  # bit i may force none of these
+                closed = todo = code & above | bit
+                while todo:
+                    j = todo.bit_length() - 1
+                    todo ^= 1 << j
+                    row = rows[j]
+                    if row < 0:
+                        row = 0
+                        r = reach[j]
+                        b = 1
+                        for d in downs:
+                            if d & r:
+                                row |= b
+                            b <<= 1
+                        rows[j] = row
+                    todo |= row & ~closed
+                    closed |= row
+                    if closed & lacks:
+                        break
+                else:
+                    code = closed
                     break
-            else:
-                code = closed
-                break
+            bit <<= 1
         else:
             return
         if code == full:
@@ -220,17 +203,18 @@ def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
 def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
     """Yield the binary pastings ``(left mask, right mask, k)`` of mask.
 
-    Deterministic: gluing dimension k runs from dim-1 downward; for each k
-    the maximal elements of dimension > k are bipartitioned.  Everything
-    two tops a, b share must land in the gluing interface, so with a on the
-    left, b must go left too when cl{b} meets the ``reach`` mask of a
-    (``OgPoset._split_row``); the left parts closed under that relation are
-    walked by ``_closed_codes`` in ascending bitmask order, which is the
-    order of a scan over all 2^t bipartitions, building only the forcing
-    rows the walk reaches.  Given a bipartition, the interface is forced:
-    its dim-k elements are those with no - coface in the left closure and
-    no + coface in the right closure, and everything outside both closures
-    joins it too.
+    Deterministic: gluing dimension k runs downward from one below the
+    second-highest dimension of a maximal element (above it, fewer than two
+    are left to split); for each k the maximal elements of dimension > k
+    are bipartitioned.  Everything two tops a, b share must land in the
+    gluing interface, so with a on the left, b must go left too when cl{b}
+    meets the ``reach`` mask of a (``OgPoset._split_row``); the left parts
+    closed under that relation are walked by ``_closed_codes`` in ascending
+    bitmask order, which is the order of a scan over all 2^t bipartitions,
+    building only the forcing rows the walk reaches.  Given a bipartition,
+    the interface is forced: its dim-k elements are those with no - coface
+    in the left closure and no + coface in the right closure, and
+    everything outside both closures joins it too.
 
     A candidate is dropped only when a part is all of mask or the parts
     share more than the interface; the boundary equations then hold.
@@ -242,33 +226,36 @@ def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
     dim-k elements, which is closed.  So bd+_k of the left part is the
     interface, and bd-_k of the right part is too, dually.
     """
-    down, dims, split_row = p.down, p.dims, p._split_row
-    closure = p.closure_mask
-    maximals = []
-    rest = mask
+    down, dims, table = p.down, p.dims, p._split_masks
+    maximals, rest = [], mask  # maximals descending, so by dimension too
     while rest:
         x = rest.bit_length() - 1
         maximals.append(x)
         rest &= ~down[x]
+    if len(maximals) < 2:
+        return
     maximals.reverse()
-    for k in range(dims[mask.bit_length() - 1] - 1, -1, -1):
-        tops = [x for x in maximals if dims[x] > k]
-        t = len(tops)
-        if t < 2:
-            continue
-        downs = [down[x] for x in tops]
-        not_in, not_out, reach = zip(*[split_row(x)[k] for x in tops])
+    for k in range(dims[maximals[-2]] - 1, -1, -1):
+        downs, reach, tops = [], [], []
+        for x in maximals:
+            if dims[x] > k:
+                not_in, not_out, r = (table[x] or p._split_row(x))[k]
+                cl = down[x]
+                downs.append(cl)
+                reach.append(r)
+                tops.append((cl, not_in, not_out))
         dim_k = mask & p._dim_masks[k]
         for code in _closed_codes(downs, reach):
             a_mask = b_mask = blocked = 0
-            for i in range(t):
-                if code >> i & 1:
-                    a_mask |= downs[i]
-                    blocked |= not_out[i]
+            for cl, not_in, not_out in tops:
+                if code & 1:
+                    a_mask |= cl
+                    blocked |= not_out
                 else:
-                    b_mask |= downs[i]
-                    blocked |= not_in[i]
-            inter = closure(dim_k & ~blocked) | mask & ~(a_mask | b_mask)
+                    b_mask |= cl
+                    blocked |= not_in
+                code >>= 1
+            inter = p.closure_mask(dim_k & ~blocked) | mask & ~a_mask & ~b_mask
             lmask = a_mask | inter
             rmask = b_mask | inter
             if lmask == mask or rmask == mask or lmask & rmask != inter:
@@ -298,19 +285,23 @@ def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
     for lmask, rmask, kk in _splits(p, mask):
         if k is not None and kk != k:
             continue
-        parts = []
-        for part in (lmask, rmask):
-            cert = memo.get(part, _UNSEEN)
-            if cert is _UNSEEN:
-                cert = None
-                for cert in _molecules(p, part):
-                    break
-                memo[part] = cert
-            if cert is None:
+        left = memo.get(lmask, _UNSEEN)
+        if left is _UNSEEN:
+            left = None
+            for left in _molecules(p, lmask):
                 break
-            parts.append(cert)
-        else:
-            yield MoleculeCert(ClosedSubset(p, mask), PasteNode(*parts, kk))
+            memo[lmask] = left
+        if left is None:
+            continue
+        right = memo.get(rmask, _UNSEEN)
+        if right is _UNSEEN:
+            right = None
+            for right in _molecules(p, rmask):
+                break
+            memo[rmask] = right
+        if right is not None:
+            yield MoleculeCert(ClosedSubset(p, mask),
+                               PasteNode(left, right, kk))
 
 
 _UNSEEN = object()  # memo lookups: None is an answer
@@ -367,21 +358,19 @@ def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None
 
 def has_spherical_boundary(cert: MoleculeCert) -> bool:
     """bd+_k U and bd-_k U intersect exactly in bd_{k-1} U for all k < dim."""
-    u = cert.subset
-    return _round((u.boundary(-1, k), u.boundary(+1, k))
-                  for k in range(u.dim))
+    return _round(cert.subset.boundaries())
 
 
-def _round(boundaries: Iterable[tuple[ClosedSubset, ClosedSubset]]) -> bool:
-    """``has_spherical_boundary`` given ``(bd-_k, bd+_k)`` for k = 0, 1, ...
+def _round(boundaries: list[tuple[int, int]]) -> bool:
+    """``has_spherical_boundary`` on ``(bd-_k, bd+_k)`` masks, k = 0, 1, ...
 
     bd_{k-1} is the union of bd-_{k-1} and bd+_{k-1}, and bd_{-1} is empty.
     """
     below = 0
     for minus, plus in boundaries:
-        if minus.mask & plus.mask != below:
+        if minus & plus != below:
             return False
-        below = minus.mask | plus.mask
+        below = minus | plus
     return True
 
 
@@ -400,15 +389,14 @@ def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
         d = p.dims[x]
         if d == 0:
             continue
-        cl = ClosedSubset(p, p.down[x])
-        bds = [(cl.boundary(-1, k), cl.boundary(+1, k)) for k in range(d)]
-        minus, plus = bds[-1]
+        bds = ClosedSubset(p, p.down[x]).boundaries()
+        minus, plus = (ClosedSubset(p, m) for m in bds[-1])
         if is_molecule(minus) is None or is_molecule(plus) is None:
             return False
         if d > 1:
             for sign, want in zip((-1, +1), bds[-2]):
-                if minus.boundary(sign).mask != want.mask or \
-                        plus.boundary(sign).mask != want.mask:
+                if minus.boundary(sign).mask != want or \
+                        plus.boundary(sign).mask != want:
                     return False
         # cl{x} is an atom, hence a molecule; its boundary must be round
         if not _round(bds):
@@ -464,8 +452,7 @@ def enumerate_molecules(p: OgPoset) -> list[ClosedSubset]:
 
     def add(mask: int) -> None:
         s = found[mask] = ClosedSubset(p, mask)
-        bds = [(s.boundary(-1, k).mask, s.boundary(+1, k).mask)
-               for k in range(s.dim)]
+        bds = s.boundaries()
         for k, (minus, plus) in enumerate(bds):
             filed.setdefault((-1, k, minus), []).append(mask)
             filed.setdefault((+1, k, plus), []).append(mask)

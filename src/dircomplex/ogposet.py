@@ -77,20 +77,18 @@ class OgPoset:
         if n and dims[0] < 0:
             raise InvalidStructure("element 0 has negative dimension")
 
-        # dimension d is the index run [ends[d - 1], ends[d]), and _above[d]
-        # (every element of dimension > d) is every bit from ends[d] up
-        ends = [bisect_right(dims, d) for d in range(self.dim + 1)]
-        self._dim_masks = dim_masks = tuple(
-            (1 << e) - (1 << s) for s, e in zip([0] + ends, ends))
-        self._above = tuple(self.all_mask >> e << e for e in ends)
-
         cof_m, cof_p, down = [0] * n, [0] * n, [0] * n
         # faces drop dimension by exactly one, so an element is graded
-        # unless it is face-less above dimension 0; reported after the rest
+        # unless it is face-less above dimension 0; reported after the rest.
+        # Faces of dim d lie in ``below``, the run of dim d - 1 (or nowhere)
         faceless = -1
         bit = 1
+        here = start = below = 0  # the current dimension and its run
         for i, d, fm, fp in zip(range(n), dims, self.faces_minus,
                                 self.faces_plus):
+            if d != here:
+                below = (1 << i) - (1 << start) if d == here + 1 else 0
+                here, start = d, i
             if fm & fp:
                 j = (fm & fp & -(fm & fp)).bit_length() - 1
                 raise OrientationClash(
@@ -98,7 +96,7 @@ class OgPoset:
             faces = fm | fp
             if faces >> n:
                 raise IndexOutOfRange(f"element {i} has a face out of range")
-            bad = faces & ~dim_masks[d - 1] if d else faces
+            bad = faces & ~below if d else faces
             if bad:
                 j = (bad & -bad).bit_length() - 1
                 raise FaceDimMismatch(
@@ -123,11 +121,17 @@ class OgPoset:
         if faceless >= 0:
             raise NotGraded(f"element {faceless}: stored dim {dims[faceless]}"
                             f" but longest chain has length 0")
+        # graded, so dim < n: dimension d is the index run [ends[d - 1],
+        # ends[d]), and _above[d] (dimension > d) is every bit from ends[d]
+        ends = [bisect_right(dims, d) for d in range(self.dim + 1)]
+        self._dim_masks = tuple(
+            (1 << e) - (1 << s) for s, e in zip([0] + ends, ends))
+        self._above = tuple(self.all_mask >> e << e for e in ends)
         self.cofaces_minus = tuple(cof_m)
         self.cofaces_plus = tuple(cof_p)
         self.down = tuple(down)
         self._hash = None
-        self._split_masks = {}
+        self._split_masks = [None] * n
         self._mol_memo = {}
 
     # -- construction and serialisation ---------------------------------
@@ -158,10 +162,14 @@ class OgPoset:
                 raise InvalidStructure(
                     f"record {i}: dim must be a non-negative integer")
             for faces in (m, p):
-                if not (isinstance(faces, (list, tuple))
-                        and all(type(f) is int for f in faces)):
-                    raise InvalidStructure(
-                        f"record {i}: faces must be a list of integers")
+                if isinstance(faces, (list, tuple)):
+                    for f in faces:
+                        if type(f) is not int:
+                            break
+                    else:
+                        continue
+                raise InvalidStructure(
+                    f"record {i}: faces must be a list of integers")
             rows.append(row)
         n = len(rows)
         order = sorted(range(n), key=lambda i: rows[i][0])
@@ -172,11 +180,14 @@ class OgPoset:
         for old in order:
             d, m, p = rows[old]
             dims.append(d)
-            for face in list(m) + list(p):
-                if not (0 <= face < n):
-                    raise IndexOutOfRange(f"face index {face} out of range")
-            fm.append(sum(1 << newpos[j] for j in set(m)))
-            fp.append(sum(1 << newpos[j] for j in set(p)))
+            for faces, table in ((m, fm), (p, fp)):
+                mask = 0
+                for face in faces:
+                    if not 0 <= face < n:
+                        raise IndexOutOfRange(
+                            f"face index {face} out of range")
+                    mask |= 1 << newpos[face]
+                table.append(mask)
         return cls(dims, fm, fp)
 
     @classmethod
@@ -228,24 +239,23 @@ class OgPoset:
         of cl{x} of dimension >= k outside bd+_k cl{x}, with the + cofaces
         of the dim-k elements of bd+_k cl{x} added.  A top b cannot sit
         right of x at gluing dimension k exactly when cl{b} meets
-        ``reach``.  Computed once per element for every such k, so the
-        table holds at most ``3 * size * dim`` masks.
+        ``reach``.  Computed once per element, for every such k, into
+        ``_split_masks[x]``: at most ``3 * size * dim`` masks in all.
         """
-        row = self._split_masks.get(x)
+        row = self._split_masks[x]
         if row is None:
-            cl = self.down[x]
-            row = []
+            cl, row = self.down[x], []
             for d in range(self.dims[x]):
-                not_in = not_out = 0
-                reach = cl & self.mask_above(d - 1)
+                not_in = not_out = up = 0
                 for z in bits(cl & self._dim_masks[d]):
                     if self.cofaces_plus[z] & cl:
                         not_in |= 1 << z
                     if self.cofaces_minus[z] & cl:
                         not_out |= 1 << z
                     else:
-                        reach = reach & ~(1 << z) | self.cofaces_plus[z]
-                row.append((not_in, not_out, reach))
+                        up |= self.cofaces_plus[z]
+                row.append((not_in, not_out,
+                            cl & self._above[d] | not_out | up))
             row = self._split_masks[x] = tuple(row)
         return row
 
@@ -369,23 +379,25 @@ class ClosedSubset:
             n = dim - 1
         if n >= dim:
             return self
-        sb = 0
-        if n >= 0:
-            covered_m = covered_p = 0
-            rest = mask & p._dim_masks[n + 1]
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                covered_m |= p.faces_minus[y]
-                covered_p |= p.faces_plus[y]
-                rest ^= low
-            keep = (~(covered_m & covered_p) if sign is None
-                    else ~covered_m if sign == +1
-                    else ~covered_p if sign == -1 else 0)
-            sb = p.closure_mask(mask & p._dim_masks[n] & keep)
-        under_higher = p.closure_mask(
-            mask & (p._above[n] if n >= 0 else p.all_mask))
-        return ClosedSubset(p, sb | p.closure_mask(mask & ~under_higher))
+        if n < 0:
+            return ClosedSubset(p, 0)
+        covered_m, covered_p, rest = _boundary_step(p, mask, n)
+        keep = (~(covered_m & covered_p) if sign is None
+                else ~covered_m if sign == +1
+                else ~covered_p if sign == -1 else 0)
+        return ClosedSubset(
+            p, p.closure_mask(mask & p._dim_masks[n] & keep) | rest)
+
+    def boundaries(self) -> list[tuple[int, int]]:
+        """``[(bd-_k mask, bd+_k mask) for k < dim]``: each k reads the
+        dim-(k+1) members once, for both signs."""
+        p, mask, out = self.parent, self.mask, []
+        for k in range(self.dim):
+            covered_m, covered_p, rest = _boundary_step(p, mask, k)
+            at_k = mask & p._dim_masks[k]
+            out.append((p.closure_mask(at_k & ~covered_p) | rest,
+                        p.closure_mask(at_k & ~covered_m) | rest))
+        return out
 
     def extract(self) -> tuple[OgPoset, "PosetMap"]:
         """Standalone copy of this subset plus its inclusion map."""
@@ -426,6 +438,26 @@ class ClosedSubset:
 
     def __repr__(self):
         return f"ClosedSubset({sorted(bits(self.mask))})"
+
+
+def _boundary_step(p: OgPoset, mask: int, n: int) -> tuple[int, int, int]:
+    """The dim-n elements that the dim-(n+1) members of a closed mask cover
+    with a - and with a + edge, and the closure of its members under
+    nothing of dimension > n (0 <= n < dim).  The poset is graded, so what
+    lies under a member above dimension n + 1 lies under one of dim n + 1.
+    """
+    fm, fp, down = p.faces_minus, p.faces_plus, p.down
+    covered_m = covered_p = under = 0
+    rest = mask & p._dim_masks[n + 1]
+    while rest:
+        low = rest & -rest
+        y = low.bit_length() - 1
+        covered_m |= fm[y]
+        covered_p |= fp[y]
+        under |= down[y]
+        rest ^= low
+    rest = mask & ~(under | p._above[n])
+    return covered_m, covered_p, p.closure_mask(rest) if rest else 0
 
 
 @dataclass(frozen=True)

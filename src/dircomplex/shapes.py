@@ -476,9 +476,9 @@ def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
     assign = [0] * u.size
 
     def rows(p, x, dim):
+        # (bd-_n, bd+_n) of cl{x} for n < dim, both cl{x} from n = dim x
         cl = ClosedSubset(p, p.down[x])
-        return [(cl.boundary(-1, n).mask, cl.boundary(+1, n).mask)
-                for n in range(dim)]
+        return (cl.boundaries() + [(cl.mask, cl.mask)] * dim)[:dim]
 
     # u's rows as element lists, to be mapped by image(); v's as masks
     u_rows = [[(list(bits(minus)), list(bits(plus)))

@@ -305,10 +305,12 @@ def test_corpus_members_are_regular(corpus_members):
 
 
 def test_class_tag():
-    from dircomplex import class_tag
-    tag = class_tag(globe(2).whole())
-    assert tag.spherical_boundary and tag.totally_loop_free
-    assert tag.regular_ambient
+    # the 2-globe has spherical boundary, is totally loop-free and lives in
+    # a regular complex
+    u = globe(2).whole()
+    assert has_spherical_boundary(is_molecule(u))
+    assert is_totally_loop_free(u.extract()[0])
+    assert is_regular_complex(u.parent)
 
 
 def test_toplevel_decomposition_explicit_k():

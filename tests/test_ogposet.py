@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,8 @@ from dircomplex import (
     cell_complex, homology, nerve,
 )
 from dircomplex.ogposet import bits
+
+from test_topology import _oriented_graded_posets
 
 
 def test_validate_empty_and_point():
@@ -320,6 +325,31 @@ def test_boundary_of_a_non_pure_subset_is_closed():
                     assert p.closure_mask(m) == m, (x, y, sign, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_boundaries_are_both_signs_of_boundary(corpus_members, data):
+    # corpus closures, unions of two closures (non-pure, so the part under
+    # nothing of higher dimension is not empty) and random posets, whose
+    # atoms are mostly no cells
+    source = data.draw(st.sampled_from(["closure", "union", "random"]))
+    if source == "random":
+        p = data.draw(_oriented_graded_posets())
+    else:
+        p = data.draw(st.sampled_from(corpus_members))[1]
+    pick = st.lists(st.integers(0, p.size - 1), max_size=6)
+    u = p.closure(data.draw(pick))
+    if source == "union":
+        u = u | p.closure(data.draw(pick))
+    got = u.boundaries()
+    assert got == [(u.boundary(-1, k).mask, u.boundary(+1, k).mask)
+                   for k in range(u.dim)]
+    for k, (minus, plus) in enumerate(got):
+        assert (minus, plus) == (_boundary_by_element(u, -1, k),
+                                 _boundary_by_element(u, +1, k)), k
+        assert p.closure_mask(minus) == minus
+        assert p.closure_mask(plus) == plus
+
+
 def _validate_by_loops(dims, fm, fp):
     """Every construction check as a separate loop over the elements, in
     the order the checks take precedence."""
@@ -428,3 +458,120 @@ def test_construction_check_precedence():
         OgPoset((-1, 1, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(InvalidStructure, match="element 0 has negative"):
         OgPoset((-1, 0, 1), (0, 0, 0), (0, 0, 0))
+
+
+def test_huge_stored_dimension_is_refused_without_tables():
+    # no graded poset of n elements has dimension n or more, and a file
+    # may claim any dimension: refusing it must not cost memory in
+    # proportion to the claim (at 3 * 10^6 its tables took over 70 MB)
+    cases = [
+        ([{"dim": 3_000_000, "minus": [], "plus": []}],
+         NotGraded, "element 0: stored dim 3000000"),
+        ([{"dim": 0, "minus": [], "plus": []},
+          {"dim": 3_000_000, "minus": [0], "plus": []}],
+         FaceDimMismatch, "element 1 \\(dim 3000000\\) has face 0 of dim 0"),
+        ([{"dim": 0, "minus": [], "plus": []},
+          {"dim": 3_000_000, "minus": [0], "plus": [0]}],
+         OrientationClash, "element 1 lists 0"),
+    ]
+    tracemalloc.start()
+    try:
+        for records, exc, message in cases:
+            with pytest.raises(exc, match=message):
+                OgPoset.from_json(json.dumps({"elements": records}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _from_records_reference(records):
+    """The parser as it was first written: every record checked, then the
+    face indices range-checked and turned into masks in separate passes."""
+    rows = []
+    for i, rec in enumerate(records):
+        if isinstance(rec, dict):
+            missing = {"dim", "minus", "plus"} - rec.keys()
+            if missing:
+                raise InvalidStructure(
+                    f"record {i} lacks {', '.join(sorted(missing))}")
+            row = (rec["dim"], rec["minus"], rec["plus"])
+        elif isinstance(rec, (list, tuple)) and len(rec) == 3:
+            row = tuple(rec)
+        else:
+            raise InvalidStructure(
+                f"record {i} is neither a mapping nor a triple")
+        d, m, p = row
+        if type(d) is not int or d < 0:
+            raise InvalidStructure(
+                f"record {i}: dim must be a non-negative integer")
+        for faces in (m, p):
+            if not (isinstance(faces, (list, tuple))
+                    and all(type(f) is int for f in faces)):
+                raise InvalidStructure(
+                    f"record {i}: faces must be a list of integers")
+        rows.append(row)
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: rows[i][0])
+    newpos = [0] * n
+    for new, old in enumerate(order):
+        newpos[old] = new
+    dims, fm, fp = [], [], []
+    for old in order:
+        d, m, p = rows[old]
+        dims.append(d)
+        for face in list(m) + list(p):
+            if not (0 <= face < n):
+                raise IndexOutOfRange(f"face index {face} out of range")
+        fm.append(sum(1 << newpos[j] for j in set(m)))
+        fp.append(sum(1 << newpos[j] for j in set(p)))
+    return OgPoset(dims, fm, fp)
+
+
+_RECORD_FAULTS = ("none", "missing_key", "out_of_range", "negative_face",
+                  "bool", "string_dim", "duplicate_face")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_records_matches_the_reference_parser(corpus_members, data):
+    # a valid poset's records, shuffled, as mappings or triples, with one
+    # fault: both parsers build the same poset or raise the same error
+    p = data.draw(st.sampled_from(corpus_members))[1]
+    n = p.size
+    perm = data.draw(st.permutations(range(n)))
+    recs = [None] * n
+    for i, rec in enumerate(p.to_json_obj()["elements"]):
+        recs[perm[i]] = {"dim": rec["dim"],
+                         "minus": [perm[j] for j in rec["minus"]],
+                         "plus": [perm[j] for j in rec["plus"]]}
+    fault = data.draw(st.sampled_from(_RECORD_FAULTS))
+    rec = recs[data.draw(st.integers(0, n - 1))]
+    key = data.draw(st.sampled_from(["minus", "plus"]))
+    at = data.draw(st.integers(0, len(rec[key])))
+    if fault == "missing_key":
+        del rec[data.draw(st.sampled_from(["dim", "minus", "plus"]))]
+    elif fault == "out_of_range":
+        rec[key].insert(at, n + data.draw(st.integers(0, 3)))
+    elif fault == "negative_face":
+        rec[key].insert(at, -data.draw(st.integers(1, n + 1)))
+    elif fault == "bool":
+        if data.draw(st.booleans()):
+            rec["dim"] = data.draw(st.booleans())
+        else:
+            rec[key].insert(at, data.draw(st.booleans()))
+    elif fault == "string_dim":
+        rec["dim"] = str(rec["dim"])
+    elif fault == "duplicate_face" and rec[key]:
+        rec[key].insert(at, data.draw(st.sampled_from(rec[key])))
+    if data.draw(st.booleans()):
+        recs = [(r["dim"], r["minus"], r["plus"]) if len(r) == 3 else r
+                for r in recs]
+
+    def outcome(parse):
+        try:
+            return parse(recs).to_json()
+        except InvalidStructure as exc:
+            return type(exc), str(exc)
+
+    assert outcome(OgPoset.from_records) == outcome(_from_records_reference)
