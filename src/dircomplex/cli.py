@@ -75,8 +75,8 @@ def _emit_check(kind: str, ok: bool, cert, as_json: bool) -> None:
     """``_emit`` of ``{"check": kind, "ok": ok, "certificate": ...}``.
 
     The certificate's text comes from ``MoleculeCert.to_json``, which
-    walks each shared node once; ``json.dumps`` of ``to_json_obj()`` walks
-    it at every place it is written.
+    walks each shared node once, where a tree of dicts would be walked at
+    every place a node is written.
     """
     if as_json:
         head = f'{{"check":"{kind}","ok":{json.dumps(ok)},"certificate":'

@@ -64,39 +64,18 @@ class MoleculeCert:
             return False
         return left.verify() and right.verify()
 
-    def to_json_obj(self) -> dict:
-        """The certificate as nested dicts, one dict per distinct node.
-
-        Recognition hands out one certificate per subset, so a node reached
-        along several paths is built once and shared; ``json.dumps`` writes
-        it out at each place, as it would a copy.  ``to_json`` gives the
-        same text without walking a shared node more than once.
-        """
-        built: dict[int, dict] = {}
-
-        def build(cert: MoleculeCert) -> dict:
-            obj = built.get(id(cert))
-            if obj is None:
-                tree = cert.tree
-                if isinstance(tree, AtomNode):
-                    obj = {"atom": tree.top}
-                else:
-                    obj = {"k": tree.k, "left": build(tree.left),
-                           "right": build(tree.right)}
-                built[id(cert)] = obj
-            return obj
-
-        return build(self)
-
     def to_json(self, indent: Optional[int] = None, level: int = 0) -> str:
-        """``json.dumps`` of ``to_json_obj()``, rendered over shared nodes.
+        """The certificate as JSON, rendered over shared nodes.
 
-        Compact (``separators=(",", ":")``) when ``indent`` is None, else
-        ``json.dumps(..., indent=indent)`` as if nested ``level`` deep in a
-        larger document.  A shared node is still written out in full at
-        each place, but its text is built once and reused when it is at
-        most ``_KEPT_TEXT`` characters long.  Longer nodes are written as
-        their parts, so no more than that is kept per node and depth.
+        A node is ``{"atom": top}`` or ``{"k": k, "left": ..., "right":
+        ...}``.  Compact (``separators=(",", ":")``) when ``indent`` is None,
+        else ``json.dumps(..., indent=indent)`` as if nested ``level`` deep
+        in a larger document.  Recognition hands out one certificate per
+        subset, so a node reached along several paths is shared; it is
+        still written out in full at each place, but its text is built once
+        and reused when it is at most ``_KEPT_TEXT`` characters long.
+        Longer nodes are written as their parts, so no more than that is
+        kept per node and depth.
         """
         out: list[str] = []
         kept: dict[tuple[int, int], str] = {}
@@ -375,31 +354,35 @@ def _round(boundaries: list[tuple[int, int]]) -> bool:
 
 
 def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
-    """Every atom has molecule boundaries, is globular, and is spherical.
+    """Every atom has molecule boundaries and a round boundary.
 
     Given a closed subset, only its own elements are checked: a closed
-    subset of a regular complex is regular.  Each k-boundary of an atom's
-    closure is computed once and read by all three clauses.
+    subset of a regular complex is regular.  For x of dim d >= 1, the
+    k-boundaries of U = cl{x} are computed once and read by two clauses:
+    both (d-1)-boundaries M- and M+ of U are molecules, and U is round.
+
+    Roundness implies that the atom is globular, bd^a_{d-2} M^b =
+    bd^a_{d-2} U for all signs a, b.  For d >= 2 its last step says
+    M- ∩ M+ = bd_{d-2} U.  Every (d-2)-element of M^b is a face of some
+    element of faces^b(x), so both sides are closures of their
+    (d-2)-generators.  A generator of bd^a_{d-2} U lies in M- ∩ M+ and has
+    no (-a)-coface in U, so it also generates bd^a_{d-2} M^b.  Conversely,
+    take a generator y of bd^a_{d-2} M^b with a (-a)-coface z in U.  Then
+    z is in M^(-b), so y is in M- ∩ M+ = bd_{d-2} U.  Having a (-a)-coface,
+    y generates bd^(-a)_{d-2} U, so it has no a-coface in U.  But y is a
+    face of an element of M^b and a (-a)-face of none: a contradiction.
     """
     if isinstance(p, ClosedSubset):
         p, members = p.parent, bits(p.mask)
     else:
         members = range(p.size)
     for x in members:
-        d = p.dims[x]
-        if d == 0:
+        if p.dims[x] == 0:
             continue
         bds = ClosedSubset(p, p.down[x]).boundaries()
         minus, plus = (ClosedSubset(p, m) for m in bds[-1])
-        if is_molecule(minus) is None or is_molecule(plus) is None:
-            return False
-        if d > 1:
-            for sign, want in zip((-1, +1), bds[-2]):
-                if minus.boundary(sign).mask != want or \
-                        plus.boundary(sign).mask != want:
-                    return False
-        # cl{x} is an atom, hence a molecule; its boundary must be round
-        if not _round(bds):
+        if (is_molecule(minus) is None or is_molecule(plus) is None
+                or not _round(bds)):
             return False
     return True
 

@@ -460,6 +460,14 @@ def _boundary_step(p: OgPoset, mask: int, n: int) -> tuple[int, int, int]:
     return covered_m, covered_p, p.closure_mask(rest) if rest else 0
 
 
+def _boundary_rows(p: OgPoset, x: int, rows: int) -> list[tuple[int, int]]:
+    """``(bd-_n, bd+_n)`` masks of cl{x} for n < rows, where n >= dim x
+    gives cl{x} itself, as ``boundary`` does: the rows that the map law
+    compares at x and at its image."""
+    cl = ClosedSubset(p, p.down[x])
+    return (cl.boundaries() + [(cl.mask, cl.mask)] * rows)[:rows]
+
+
 @dataclass(frozen=True)
 class PosetMap:
     """A function between oriented graded posets.
@@ -545,16 +553,14 @@ class PosetMap:
             return
         s, t = self.source, self.target
         for i in range(s.size):
-            cl_i = ClosedSubset(s, s.down[i])
-            img_cl = ClosedSubset(t, t.down[self.assignment[i]])
-            for n in range(s.dims[i] + 1):
-                for sign in (-1, +1):
-                    lhs = img_cl.boundary(sign, n).mask
-                    rhs = self.image_mask(cl_i.boundary(sign, n).mask)
-                    if lhs != rhs:
+            rows = s.dims[i] + 1
+            for n, (have, want) in enumerate(zip(
+                    _boundary_rows(s, i, rows),
+                    _boundary_rows(t, self.assignment[i], rows))):
+                for sign, h, w in zip("-+", have, want):
+                    if self.image_mask(h) != w:
                         raise InvalidMap(
-                            f"element {i}: boundary({'-' if sign < 0 else '+'},"
-                            f" {n}) not preserved")
+                            f"element {i}: boundary({sign}, {n}) not preserved")
 
     def is_valid(self) -> bool:
         try:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 
 from .ogposet import (
-    OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism,
+    OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism, _boundary_rows,
 )
 from .construct import (
     BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
@@ -297,15 +297,15 @@ def compositor_c(n: int, k: int) -> CompositorResult:
     prev = compositor_c(n - 1, k)
     inf = inflate(prev.whole)
     pair_n = paste(globe(n), globe(n), k)
-    pair_m = paste(globe(n - 1), globe(n - 1), k)
+    pair_m = prev.incl.source  # the pasted pair of (n-1)-globes
     bd = pair_n.whole.whole().boundary(+1)
     bd_sub, bd_incl = bd.extract()
-    iso = find_isomorphism(pair_m.whole, bd_sub)
+    iso = find_isomorphism(pair_m, bd_sub)
     if iso is None:
         raise BoundaryMismatch("compositor boundary mismatch")
     whole, j_pair, j_inf = amalgamate(pair_n.whole, inf.whole, {
         bd_incl(iso(x)): inf.iota_minus(prev.incl(x))
-        for x in range(pair_m.whole.size)})
+        for x in range(pair_m.size)})
     # the inflated tower collapses through tau and the previous retraction,
     # then includes along the shared output boundary of the globe pair
     collapse = inf.tau.then(prev.retr)
@@ -475,14 +475,9 @@ def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
         (u.down[x] & u.dim_mask(0)).bit_length(), u.dims[x], x))
     assign = [0] * u.size
 
-    def rows(p, x, dim):
-        # (bd-_n, bd+_n) of cl{x} for n < dim, both cl{x} from n = dim x
-        cl = ClosedSubset(p, p.down[x])
-        return (cl.boundaries() + [(cl.mask, cl.mask)] * dim)[:dim]
-
     # u's rows as element lists, to be mapped by image(); v's as masks
     u_rows = [[(list(bits(minus)), list(bits(plus)))
-               for minus, plus in rows(u, x, u.dims[x])]
+               for minus, plus in _boundary_rows(u, x, u.dims[x])]
               for x in range(u.size)]
     u_faces = [list(bits(u.faces(x))) for x in range(u.size)]
     v_rows: dict[int, list[tuple[int, int]]] = {}
@@ -496,7 +491,7 @@ def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
     def lawful(x, c):
         want = v_rows.get(c)
         if want is None:
-            want = v_rows[c] = rows(v, c, u.dim)
+            want = v_rows[c] = _boundary_rows(v, c, u.dim)
         return all(image(minus) == w_minus and image(plus) == w_plus
                    for (minus, plus), (w_minus, w_plus)
                    in zip(u_rows[x], want))

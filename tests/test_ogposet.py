@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dircomplex import (
-    OgPoset, PosetMap, ClosedSubset, InvalidStructure,
+    OgPoset, PosetMap, ClosedSubset, InvalidStructure, InvalidMap,
     FaceDimMismatch, OrientationClash, NotGraded, IndexOutOfRange,
-    factorize, find_isomorphism,
+    factorize, find_isomorphism, enumerate_maps,
     globe, simplex, globe_element, simplex_index, globe_tau,
     folding_a, cube, gray, paste, is_regular_complex,
     cell_complex, homology, nerve,
@@ -194,6 +194,50 @@ def test_maps_preserve_boundaries_on_corpus_maps():
                PosetMap.identity(simplex(2))]
     for f in checked:
         f.check()
+
+
+def _map_law_by_reference(f):
+    """The first failure of the map law as ``PosetMap.check`` words it, or
+    None: one ``boundary`` call per element, side, sign and n, n ascending
+    and - before +."""
+    s, t = f.source, f.target
+    for i in range(s.size):
+        cl_i = ClosedSubset(s, s.down[i])
+        img_cl = ClosedSubset(t, t.down[f(i)])
+        for n in range(s.dims[i] + 1):
+            for sign in (-1, +1):
+                lhs = img_cl.boundary(sign, n).mask
+                rhs = f.image_mask(cl_i.boundary(sign, n).mask)
+                if lhs != rhs:
+                    return (f"element {i}: boundary({'-' if sign < 0 else '+'}"
+                            f", {n}) not preserved")
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_map_law_matches_its_reference(corpus_members, data):
+    # a map between small atoms, or any function between them, with up to
+    # two images redrawn: the law passes, fails late, or fails at once
+    atoms = [p for _, p in corpus_members
+             if p.size <= 15 and p.whole().greatest() is not None]
+    u, v = data.draw(st.sampled_from(atoms)), data.draw(st.sampled_from(atoms))
+    maps = enumerate_maps(u, v)
+    if maps and data.draw(st.booleans()):
+        assign = list(data.draw(st.sampled_from(maps)).assignment)
+    else:
+        assign = [data.draw(st.integers(0, v.size - 1)) for _ in range(u.size)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        assign[data.draw(st.integers(0, u.size - 1))] = \
+            data.draw(st.integers(0, v.size - 1))
+    f = PosetMap(u, v, tuple(assign))
+    want = _map_law_by_reference(f)
+    if want is None:
+        f.check()
+    else:
+        with pytest.raises(InvalidMap) as err:
+            f.check()
+        assert str(err.value) == want
 
 
 def test_inclusions_preserve_dim_and_orientation():
