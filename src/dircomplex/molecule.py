@@ -3,8 +3,9 @@
 A molecule is a closed subset that either has a greatest element (an atom)
 or splits as U1 ∪ U2 with U1 ∩ U2 = bd+_k(U1) = bd-_k(U2) for some k, both
 parts again molecules.  Recognition searches for such splits directly; a
-successful search is returned as a certificate tree that an independent
-checker can re-verify by recomputing the three set equations at each node.
+successful search is returned as a certificate, one ``MoleculeCert`` per
+node, that an independent checker can re-verify by recomputing the set
+equations at each node.
 """
 
 from __future__ import annotations
@@ -20,25 +21,26 @@ class NotAMolecule(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class AtomNode:
-    top: int
-
-
-@dataclass(frozen=True, slots=True)
-class PasteNode:
-    left: "MoleculeCert"
-    right: "MoleculeCert"
-    k: int
-
-
-@dataclass(frozen=True, slots=True)
 class MoleculeCert:
-    subset: ClosedSubset
-    tree: Union[AtomNode, PasteNode]
+    """One node of a certificate: an atom, or the pasting left #k right.
+
+    An atom has no parts, and its greatest element is the highest bit of
+    ``mask``.  Recognition builds one node per subset and shares it
+    wherever that subset recurs.
+    """
+    parent: OgPoset
+    mask: int
+    left: Optional["MoleculeCert"] = None
+    right: Optional["MoleculeCert"] = None
+    k: Optional[int] = None
+
+    @property
+    def subset(self) -> ClosedSubset:
+        return ClosedSubset(self.parent, self.mask)
 
     @property
     def is_atom(self) -> bool:
-        return isinstance(self.tree, AtomNode)
+        return self.left is None
 
     def verify(self) -> bool:
         """Re-check every node of the certificate from scratch.
@@ -46,23 +48,17 @@ class MoleculeCert:
         Deliberately independent of the recognition search: only the
         definition's set equations are recomputed.
         """
-        u = self.subset
-        p = u.parent
-        if isinstance(self.tree, AtomNode):
-            return (0 <= self.tree.top < p.size
-                    and p.down[self.tree.top] == u.mask)
-        left, right, k = self.tree.left, self.tree.right, self.tree.k
-        l, r = left.subset, right.subset
-        if l.mask == u.mask or r.mask == u.mask:
+        p, mask, left, right = self.parent, self.mask, self.left, self.right
+        if mask >> p.size:  # negative, or an element p does not have
             return False
-        if (l.mask | r.mask) != u.mask:
+        if left is None or right is None:  # an atom has neither part
+            return (left is right and mask > 0
+                    and p.down[mask.bit_length() - 1] == mask)
+        l, r = left.mask, right.mask
+        if l == mask or r == mask or l | r != mask:
             return False
-        inter = l.mask & r.mask
-        if l.boundary(+1, k).mask != inter:
-            return False
-        if r.boundary(-1, k).mask != inter:
-            return False
-        return left.verify() and right.verify()
+        return (composable(left.subset, right.subset, self.k)
+                and left.verify() and right.verify())
 
     def to_json(self, indent: Optional[int] = None, level: int = 0) -> str:
         """The certificate as JSON, rendered over shared nodes.
@@ -100,17 +96,17 @@ class MoleculeCert:
                          "\n" + " " * (indent * lvl) + "}")
                 glue[lvl] = g
             atom_open, k_open, left, right, close = g
-            tree = cert.tree
-            if isinstance(tree, AtomNode):
-                text = kept[key] = f"{atom_open}{tree.top}{close}"
+            if cert.left is None:
+                top = cert.mask.bit_length() - 1
+                text = kept[key] = f"{atom_open}{top}{close}"
                 out.append(text)
                 return len(text)
             start = len(out)
-            head = f"{k_open}{tree.k}{left}"
+            head = f"{k_open}{cert.k}{left}"
             out.append(head)
-            n = len(head) + write(tree.left, lvl + step)
+            n = len(head) + write(cert.left, lvl + step)
             out.append(right)
-            n += len(right) + write(tree.right, lvl + step) + len(close)
+            n += len(right) + write(cert.right, lvl + step) + len(close)
             out.append(close)
             if n <= _KEPT_TEXT:
                 text = kept[key] = "".join(out[start:])
@@ -258,7 +254,7 @@ def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
         return
     top = mask.bit_length() - 1
     if p.down[top] == mask:
-        yield MoleculeCert(ClosedSubset(p, mask), AtomNode(top))
+        yield MoleculeCert(p, mask)
         return
     memo = p._mol_memo
     for lmask, rmask, kk in _splits(p, mask):
@@ -279,8 +275,7 @@ def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
                 break
             memo[rmask] = right
         if right is not None:
-            yield MoleculeCert(ClosedSubset(p, mask),
-                               PasteNode(left, right, kk))
+            yield MoleculeCert(p, mask, left, right, kk)
 
 
 _UNSEEN = object()  # memo lookups: None is an answer
@@ -316,14 +311,14 @@ def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None
         raise NotAMolecule(f"invalid certificate: maximal elements "
                            f"{u.maximal()}, dim {u.dim}")
     if k is None:
-        k = cert.tree.k if isinstance(cert.tree, PasteNode) else u.dim - 1
+        k = u.dim - 1 if cert.is_atom else cert.k
 
     p = u.parent
 
     def flat(sub: ClosedSubset) -> list[ClosedSubset]:
         for c in _molecules(p, sub.mask, k):
             if not c.is_atom:
-                return flat(c.tree.left.subset) + flat(c.tree.right.subset)
+                return flat(c.left.subset) + flat(c.right.subset)
         return [sub]
 
     parts = flat(u)
@@ -462,8 +457,9 @@ def find_submolecule(v: MoleculeCert, u: MoleculeCert
     from u down to v; each step is a verified split, with v contained in
     the named side.  Answers per subset are kept for this call only.
     """
-    p = u.subset.parent
-    target = v.subset.mask
+    if v.parent != u.parent:
+        raise ValueError("find_submolecule: certificates of different posets")
+    p, target = u.parent, v.mask
     memo: dict[int, Optional[list]] = {}
 
     def search(cur: int) -> Optional[list]:
@@ -475,7 +471,7 @@ def find_submolecule(v: MoleculeCert, u: MoleculeCert
         for c in _molecules(p, cur):
             if c.is_atom:
                 break
-            lmask, rmask = c.tree.left.subset.mask, c.tree.right.subset.mask
+            lmask, rmask = c.left.mask, c.right.mask
             if target & ~lmask == 0:
                 tail = search(lmask)
                 if tail is not None:
@@ -489,6 +485,6 @@ def find_submolecule(v: MoleculeCert, u: MoleculeCert
         memo[cur] = result
         return result
 
-    if target & ~u.subset.mask:
+    if target & ~u.mask:
         return None
-    return search(u.subset.mask)
+    return search(u.mask)

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +37,8 @@ def test_path_is_a_paste_of_two_atoms():
     p = paste(globe(1), globe(1), 0).whole
     cert = is_molecule(p.whole())
     assert cert is not None and not cert.is_atom
-    assert cert.tree.k == 0
-    assert cert.tree.left.is_atom and cert.tree.right.is_atom
+    assert cert.k == 0
+    assert cert.left.is_atom and cert.right.is_atom
     assert cert.verify()
 
 
@@ -202,9 +203,16 @@ def test_find_submolecule_reflexive_and_generator():
     p = paste(globe(2), globe(2), 1).whole
     cert = is_molecule(p.whole())
     assert find_submolecule(cert, cert) == []
-    left = cert.tree.left
-    chain = find_submolecule(left, cert)
+    chain = find_submolecule(cert.left, cert)
     assert chain is not None and len(chain) == 1
+
+
+def test_find_submolecule_refuses_certificates_of_two_posets():
+    # the masks of one poset name other elements in another
+    p = paste(globe(1), globe(1), 0).whole
+    q = paste(globe(2), globe(2), 0).whole
+    with pytest.raises(ValueError):
+        find_submolecule(is_molecule(p.closure([3])), is_molecule(q.whole()))
 
 
 def test_long_chain_is_recognized_within_the_recursion_limit():
@@ -215,7 +223,7 @@ def test_long_chain_is_recognized_within_the_recursion_limit():
                 + [1 << i for i in range(n)], [0] * (n + 1)
                 + [1 << i + 1 for i in range(n)])
     cert = is_molecule(p.whole())
-    assert cert is not None and cert.tree.k == 0
+    assert cert is not None and cert.k == 0
 
 
 def test_find_submolecule_after_interrupted_search(monkeypatch):
@@ -279,14 +287,47 @@ def test_codimension_one_coface_counts(corpus_members):
 def test_invalid_certificate_rejected():
     p = paste(globe(1), globe(1), 0).whole
     cert = is_molecule(p.whole())
-    from dircomplex.molecule import MoleculeCert, PasteNode
-    bogus = MoleculeCert(p.whole(),
-                         PasteNode(cert.tree.left, cert.tree.left, 0))
+    from dircomplex.molecule import MoleculeCert
+    bogus = MoleculeCert(p, cert.mask, cert.left, cert.left, 0)
     assert not bogus.verify()
     with pytest.raises(NotAMolecule) as exc:
         toplevel_decomposition(bogus)
     assert str(exc.value) == \
         "invalid certificate: maximal elements [3, 4], dim 1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_rejects_one_broken_node(corpus_members, data):
+    # break one node of a recognized certificate, rebuild the nodes above
+    # it, and verify() must answer False without raising
+    _, p = data.draw(st.sampled_from(corpus_members))
+    gens = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1,
+                              max_size=4))
+    cert = is_molecule(p.closure(gens)) or is_molecule(p.whole())
+    assert cert is not None and cert.verify()
+    path, node = [], cert
+    while not node.is_atom and data.draw(st.booleans()):
+        side = data.draw(st.sampled_from(("left", "right")))
+        path.append((node, side))
+        node = getattr(node, side)
+    kinds = ["range"] + (["atom"] if node.is_atom else
+                         ["k-1", "k+1", "left", "right"])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "range":  # an element the poset does not have
+        extra = data.draw(st.integers(p.size, p.size + 70))
+        bad = replace(node, mask=node.mask | 1 << extra)
+    elif kind == "atom":  # no longer the closure of its highest element
+        top = node.mask.bit_length() - 1
+        j = data.draw(st.integers(0, p.size - 1).filter(lambda j: j != top))
+        bad = replace(node, mask=node.mask ^ 1 << j)
+    elif kind in ("k-1", "k+1"):  # bd_k of a molecule has dimension k
+        bad = replace(node, k=node.k + (1 if kind == "k+1" else -1))
+    else:  # a part that is the node itself
+        bad = replace(node, **{kind: node})
+    for above, side in reversed(path):
+        bad = replace(above, **{side: bad})
+    assert bad.verify() is False
 
 
 def test_boundaries_have_exact_dimension(corpus_members):
@@ -456,11 +497,10 @@ def test_forcing_rows_match_pair_definition(corpus_members, data):
 
 
 def _nested(c):
-    """The certificate tree written out with no sharing."""
+    """The certificate written out as a tree, with no sharing."""
     if c.is_atom:
-        return {"atom": c.tree.top}
-    return {"k": c.tree.k, "left": _nested(c.tree.left),
-            "right": _nested(c.tree.right)}
+        return {"atom": c.mask.bit_length() - 1}
+    return {"k": c.k, "left": _nested(c.left), "right": _nested(c.right)}
 
 
 def _spherical_by_reference(cert):
