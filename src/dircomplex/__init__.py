@@ -33,7 +33,7 @@ from .shapes import (
 )
 from .topology import (
     SimplicialComplex, ChainComplex,
-    nerve, nerve_map, cell_complex, homology, euler, face_poset_roundtrip,
+    nerve, nerve_map, homology, euler, face_poset_roundtrip,
 )
 from .corpus import gen_corpus
 

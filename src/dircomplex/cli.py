@@ -88,10 +88,10 @@ def _emit_check(kind: str, ok: bool, cert, as_json: bool) -> None:
         print(f'{head}  "certificate": {body}\n}}')
 
 
-# the most elements ``shape`` builds.  Memory grows with the square of the
-# size (every element's downward closure is a mask over all of them): the
-# largest shapes under it, simplex 13 (16,383 elements) and cube 9 (19,683),
-# take ~140 and ~205 MB and ~1.5 s, and simplex 14 would take ~0.5 GB
+# the most elements ``shape`` and ``map`` build.  Memory grows with the
+# square of the size (every element's downward closure is a mask over all of
+# them): the largest shapes under it, simplex 13 (16,383 elements) and cube
+# 9 (19,683), take ~140 and ~205 MB and ~1.5 s, and simplex 14 ~0.5 GB
 _SHAPE_LIMIT = 20_000
 
 
@@ -129,20 +129,24 @@ def _arity_error(what: str, counts: tuple[int, ...], params: list) -> int:
     return 2
 
 
+def _size_error(what: str, params: list) -> int:
+    print(f"usage: {what} {' '.join(map(str, params))} builds more than "
+          f"{_SHAPE_LIMIT} elements", file=sys.stderr)
+    return 2
+
+
 def _cmd_shape(args) -> int:
     count, build, size = _SHAPES[args.family]
     if len(args.params) != count:
         return _arity_error(f"shape {args.family}", (count,), args.params)
     if size(*args.params) > _SHAPE_LIMIT:
-        print(f"usage: shape {args.family} "
-              f"{' '.join(map(str, args.params))} builds more than "
-              f"{_SHAPE_LIMIT} elements", file=sys.stderr)
-        return 2
+        return _size_error(f"shape {args.family}", args.params)
     print(build(*args.params).to_json())
     return 0
 
 
-# name -> builder of the map; gamma builds an assignment, not a PosetMap
+# name -> builder of the map from the n-simplex, which each of them builds;
+# gamma builds an assignment, not a PosetMap
 _MAPS = {"a": shapes.folding_a, "c": shapes.folding_c,
          "gamma": shapes.last_vertex, "sprec": shapes.sprec}
 
@@ -150,6 +154,8 @@ _MAPS = {"a": shapes.folding_a, "c": shapes.folding_c,
 def _cmd_map(args) -> int:
     if len(args.params) != 1:
         return _arity_error(f"map {args.name}", (1,), args.params)
+    if _simplex_size(args.params[0]) > _SHAPE_LIMIT:
+        return _size_error(f"map {args.name}", args.params)
     m = _MAPS[args.name](args.params[0])
     if args.name == "gamma":
         _emit({"assignment": list(m)}, args.json)
@@ -241,20 +247,13 @@ def _cmd_topo(args) -> int:
                "simplices": [[list(c) for c in lv] for lv in k.simplices]},
               args.json)
         return 0
-    # a greatest element makes the nerve a cone: a point's homology
-    cone = sub.greatest() is not None
     if verb == "homology":
-        # one generator per element is exact only when every member is
-        # cellular; the nerve holds for any poset
-        if cone:
-            h = [(1, [])] + [(0, [])] * sub.dim
-        elif all(cell for _, _, cell in topology._cell_pass(p, sub.mask)):
-            h = topology.homology(topology.cell_complex(sub))
-        else:
-            h = topology.homology(topology.nerve(sub))
+        h = topology.homology(sub)
         _emit({"H": [{"betti": b, "torsion": t} for b, t in h]}, args.json)
         return 0
     if verb == "euler":
+        # a greatest element makes the nerve a cone, a point
+        cone = sub.greatest() is not None
         _emit({"euler": 1 if cone else topology.euler(topology.nerve(sub))},
               args.json)
         return 0

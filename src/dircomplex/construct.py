@@ -127,6 +127,8 @@ def _boundary_pairing(a: ClosedSubset, b: ClosedSubset) -> dict[int, int]:
 
 def paste(u: OgPoset, v: OgPoset, k: int) -> PastingResult:
     """Glue v after u along bd+_k(u) = bd-_k(v)."""
+    if k < 0:
+        raise ValueError(f"paste needs k >= 0, got k = {k}")
     _require_molecule(u)
     _require_molecule(v)
     bu = u.whole().boundary(+1, k)

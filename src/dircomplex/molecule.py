@@ -46,19 +46,31 @@ class MoleculeCert:
         """Re-check every node of the certificate from scratch.
 
         Deliberately independent of the recognition search: only the
-        definition's set equations are recomputed.
+        definition's set equations are recomputed, once per distinct node
+        however many paths reach it, on an explicit stack.
         """
-        p, mask, left, right = self.parent, self.mask, self.left, self.right
-        if mask >> p.size:  # negative, or an element p does not have
-            return False
-        if left is None or right is None:  # an atom has neither part
-            return (left is right and mask > 0
-                    and p.down[mask.bit_length() - 1] == mask)
-        l, r = left.mask, right.mask
-        if l == mask or r == mask or l | r != mask:
-            return False
-        return (composable(left.subset, right.subset, self.k)
-                and left.verify() and right.verify())
+        seen = {id(self)}
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            p, mask = node.parent, node.mask
+            left, right = node.left, node.right
+            if mask >> p.size:  # negative, or an element p does not have
+                return False
+            if left is None or right is None:  # an atom has neither part
+                if not (left is right and mask > 0
+                        and p.down[mask.bit_length() - 1] == mask):
+                    return False
+                continue
+            l, r = left.mask, right.mask
+            if (l == mask or r == mask or l | r != mask
+                    or not composable(left.subset, right.subset, node.k)):
+                return False
+            for part in (left, right):
+                if id(part) not in seen:
+                    seen.add(id(part))
+                    todo.append(part)
+        return True
 
     def to_json(self, indent: Optional[int] = None, level: int = 0) -> str:
         """The certificate as JSON, rendered over shared nodes.

@@ -34,6 +34,8 @@ def globe_element(n: int, k: int, sign: int) -> int:
 @lru_cache(maxsize=None)
 def globe(n: int) -> OgPoset:
     """The n-globe: one input and one output pole in every lower dimension."""
+    if n < 0:
+        raise ValueError(f"globe needs n >= 0, got {n}")
     dims, fm, fp = [], [], []
     for k in range(n):
         for _ in range(2):
@@ -112,6 +114,8 @@ def simplex(n: int) -> OgPoset:
 @lru_cache(maxsize=None)
 def cube(n: int) -> OgPoset:
     """The n-cube, an iterated cylinder over the point."""
+    if n < 0:
+        raise ValueError(f"cube needs n >= 0, got {n}")
     if n == 0:
         return OgPoset.point()
     return gray(globe(1), cube(n - 1))

@@ -1,17 +1,18 @@
 """Nerves, chain complexes, and integer homology.
 
-Homology is computed from one of two chain complexes:
+The homology of a closed subset is that of its nerve, its order complex
+of strictly increasing chains (the barycentric subdivision).
+``homology`` computes it on the smallest exact complex:
 
-- the nerve of a poset, its order complex of strictly increasing chains,
-  which is the barycentric subdivision and needs no assumption;
+- a point, when the subset has a greatest element and the nerve is a cone;
 - the cellular complex (Steiner's complex), with one generator per element
-  and boundary ``x+ - x-`` over its codimension-1 faces.  It computes the
-  homology of the nerve on a closed subset whose elements are all
-  *cellular*: the boundary of each has the homology of a sphere, checked
-  on cells by induction on dimension, and ``dd = 0`` holds on its column
-  (``face_poset_roundtrip`` gives the argument).  Every element of a
-  regular directed complex is cellular, since it realizes as a regular CW
-  complex and ``dd = 0`` there is globularity.
+  and boundary ``x+ - x-`` over its codimension-1 faces, when every
+  element is *cellular*: the boundary of each has the homology of a
+  sphere, checked on cells by induction on dimension, and ``dd = 0`` holds
+  on its column (``face_poset_roundtrip`` gives the argument).  Every
+  element of a regular directed complex is cellular, since it realizes as
+  a regular CW complex and ``dd = 0`` there is globularity;
+- the nerve itself otherwise, which needs no assumption.
 
 The per-atom sphere report runs on cells as far as the induction reaches
 and on nerves above any element that is not cellular.  Nothing here
@@ -46,10 +47,8 @@ class SimplicialComplex:
 
 def nerve(p: Union[OgPoset, ClosedSubset]) -> SimplicialComplex:
     """All chains x0 < ... < xn of the underlying poset."""
-    if isinstance(p, OgPoset):
-        poset, mask = p, p.all_mask
-    else:
-        poset, mask = p.parent, p.mask
+    u = p.whole() if isinstance(p, OgPoset) else p
+    poset, mask = u.parent, u.mask
     # chains grow upward: each extends by the members strictly above its top
     strict_up = dict.fromkeys(bits(mask), 0)
     for e in strict_up:
@@ -116,38 +115,6 @@ def chain_complex(k: SimplicialComplex) -> ChainComplex:
                          for i in range(len(c))} for c in k.simplices[d]])
     cc = ChainComplex(k.counts(), columns)
     assert cc.check_dd_zero(), "boundary of a boundary must vanish"
-    return cc
-
-
-def cell_complex(p: Union[OgPoset, ClosedSubset]) -> ChainComplex:
-    """Steiner's chain complex: one generator per element, ``dx = x+ - x-``.
-
-    Generators are numbered within each dimension in index order.  It
-    computes the nerve's homology when every element is cellular (see
-    ``face_poset_roundtrip``), as on a regular directed complex.  On other
-    input ``dd = 0`` may fail, and then the build raises ``ValueError``:
-    unlike a nerve's, this check depends on the input, so it is no
-    assertion.
-    """
-    if isinstance(p, OgPoset):
-        poset, mask = p, p.all_mask
-    else:
-        poset, mask = p.parent, p.mask
-    # faces need not precede their cofaces in index order: number first
-    levels: list[list[int]] = []
-    for x in bits(mask):
-        d = poset.dims[x]
-        while len(levels) <= d:
-            levels.append([])
-        levels[d].append(x)
-    index = {x: i for level in levels for i, x in enumerate(level)}
-    columns = [[{**{index[f]: 1 for f in bits(poset.faces_plus[x])},
-                 **{index[f]: -1 for f in bits(poset.faces_minus[x])}}
-                for x in level] for level in levels]
-    cc = ChainComplex([len(level) for level in levels], columns)
-    if not cc.check_dd_zero():
-        raise ValueError("boundary of a boundary does not vanish: "
-                         "not a regular directed complex")
     return cc
 
 
@@ -234,12 +201,26 @@ def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
             del row[j]
 
 
-def homology(k: Union[SimplicialComplex, ChainComplex]
-             ) -> list[tuple[int, list[int]]]:
+def homology(k: Union[SimplicialComplex, ChainComplex, OgPoset,
+                       ClosedSubset]) -> list[tuple[int, list[int]]]:
     """Unreduced integer homology: (betti, torsion coefficients) per degree.
 
-    A simplicial complex is turned into its chain complex first.
+    A simplicial complex is turned into its chain complex first.  A poset
+    or closed subset gives the homology of its nerve, computed on the
+    smallest exact complex (see the module docstring): a point's when it
+    has a greatest element, else Steiner's complex from the columns that
+    ``_cell_pass`` built when every member is cellular, else the nerve's.
     """
+    if isinstance(k, (OgPoset, ClosedSubset)):
+        u = k.whole() if isinstance(k, OgPoset) else k
+        if u.greatest() is not None:
+            return [(1, [])] + [(0, [])] * u.dim
+        levels: list[list[dict[int, int]]] = [[] for _ in range(u.dim + 1)]
+        for x, _, cellular, col in _cell_pass(u.parent, u.mask):
+            if not cellular:
+                return homology(nerve(u))
+            levels[u.parent.dims[x]].append(col)
+        k = ChainComplex([len(lv) for lv in levels], levels)
     cc = k if isinstance(k, ChainComplex) else chain_complex(k)
     inv = [_invariants(c) for c in cc.columns] + [[]]
     return [(n - len(inv[d]) - len(inv[d + 1]),
@@ -266,12 +247,10 @@ def ball_signature() -> list[tuple[int, list[int]]]:
 
 def _matches(actual: list[tuple[int, list[int]]],
              expected: list[tuple[int, list[int]]]) -> bool:
-    for d in range(max(len(actual), len(expected))):
-        a = actual[d] if d < len(actual) else (0, [])
-        e = expected[d] if d < len(expected) else (0, [])
-        if a != e:
-            return False
-    return True
+    # a degree that one list lacks reads as (0, [])
+    n = max(len(actual), len(expected))
+    pad = [(0, [])] * n
+    return (actual + pad)[:n] == (expected + pad)[:n]
 
 
 @dataclass(frozen=True)
@@ -324,22 +303,24 @@ def face_poset_roundtrip(p: OgPoset) -> RoundtripReport:
     Bjorner, *Posets, regular CW complexes and Bruhat order* (1984), and
     Lundell and Weingram (1969) on incidence numbers.
     """
-    failures = tuple(x for x, sphere, _ in _cell_pass(p, p.all_mask)
+    failures = tuple(x for x, sphere, _, _ in _cell_pass(p, p.all_mask)
                      if not sphere)
     return RoundtripReport(not failures, failures, p.size)
 
 
-def _cell_pass(p: OgPoset, mask: int) -> Iterator[tuple[int, bool, bool]]:
-    """``(x, sphere, cellular)`` for each x of the closed ``mask``.
+def _cell_pass(p: OgPoset, mask: int
+               ) -> Iterator[tuple[int, bool, bool, dict[int, int]]]:
+    """``(x, sphere, cellular, column)`` for each x of the closed ``mask``.
 
     Elements come in index order, which is dimension order; see
     ``face_poset_roundtrip`` for what the two flags mean and why the cells
     may stand in for the nerve.  They differ: a boundary that is a sphere
     need not satisfy ``dd = 0`` on cells.  An element above one that is
     not cellular is checked on its nerve, after the first ``cellular`` that
-    is False, so a caller that needs only cells can stop there.  The chain
-    complexes of boundaries key their rows by element index, which
-    ``homology`` reads only as labels.
+    is False, so a caller that needs only cells can stop there.  The
+    column is Steiner's ``dx = x+ - x-`` keyed by element index, which
+    ``homology`` reads only as labels: the pass builds the complexes of
+    boundaries from these columns, and ``homology`` that of the mask.
     """
     fp, fm, down, dims = p.faces_plus, p.faces_minus, p.down, p.dims
     cols: dict[int, dict[int, int]] = {}
@@ -353,7 +334,7 @@ def _cell_pass(p: OgPoset, mask: int) -> Iterator[tuple[int, bool, bool]]:
         if below & ~cellular:
             k = nerve(ClosedSubset(p, below))
             yield x, (_matches(homology(k), sphere_signature(d - 1))
-                      and euler(k) == 1 + (-1) ** (d - 1)), False
+                      and euler(k) == 1 + (-1) ** (d - 1)), False, col
             continue
         if d <= 1:
             # the (-1)-sphere is empty, the 0-sphere two points
@@ -365,11 +346,11 @@ def _cell_pass(p: OgPoset, mask: int) -> Iterator[tuple[int, bool, bool]]:
             h = homology(ChainComplex([len(lv) for lv in levels], levels))
             sphere = _matches(h, sphere_signature(d - 1))
         if not sphere:
-            yield x, False, False
+            yield x, False, False, col
             continue
         # on reduced chains every vertex has boundary 1
         dd_zero = (sum(col.values()) == 0 if d == 1
                    else _dd_zero(col, cols))
         if dd_zero:
             cellular |= bit
-        yield x, True, dd_zero
+        yield x, True, dd_zero, col

@@ -352,6 +352,27 @@ def test_oversized_shape_is_refused_before_it_is_built(args):
                            f"{_SHAPE_LIMIT} elements\n")
 
 
+@pytest.mark.parametrize("args", [["a", "40"], ["gamma", "100000"],
+                                  ["c", "14"], ["sprec", "14"]])
+def test_oversized_map_is_refused_before_it_is_built(args):
+    # every map builds the n-simplex (gamma enumerates its elements): a 14
+    # builds 32,767 elements, which shape simplex 14 refuses
+    proc = subprocess.run(
+        [sys.executable, "-m", "dircomplex.cli", "map", *args],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == (f"usage: map {' '.join(args)} builds more than "
+                           f"{_SHAPE_LIMIT} elements\n")
+
+
+def test_paste_below_dimension_zero_is_an_error(tmp_path, capsys):
+    f = tmp_path / "g1.json"
+    f.write_text(globe(1).to_json())
+    code, out, err = invoke(capsys, "op", "paste", str(f), str(f), "-1")
+    assert code == 1 and not out
+    assert err == "error: paste needs k >= 0, got k = -1\n"
+
+
 @pytest.mark.parametrize("args", [["phi", "1"], ["C", "3", "3"]])
 def test_invalid_compositor_parameters_are_errors(capsys, args):
     code, out, err = invoke(capsys, "shape", *args)

@@ -58,6 +58,12 @@ def test_paste_mismatch():
         paste(globe(2), paste(globe(1), globe(1), 0).whole, 1)
 
 
+def test_paste_refuses_negative_k():
+    # bd_-1 is empty, so the "pasting" would be a disjoint union
+    with pytest.raises(ValueError, match="k = -1"):
+        paste(globe(1), globe(1), -1)
+
+
 def test_paste_deterministic():
     a = paste(globe(2), globe(2), 1).whole
     b = paste(globe(2), globe(2), 1).whole

@@ -330,6 +330,29 @@ def test_verify_rejects_one_broken_node(corpus_members, data):
     assert bad.verify() is False
 
 
+def test_verify_checks_each_shared_node_once(monkeypatch):
+    # the certificate of simplex 6's input boundary shares its nodes along
+    # many paths; each pasting node is checked once, not once per path
+    cert = is_molecule(simplex(6).whole().boundary(-1))
+    nodes, todo = {}, [cert]
+    while todo:
+        node = todo.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            if not node.is_atom:
+                todo += [node.left, node.right]
+    pastings = sum(not node.is_atom for node in nodes.values())
+    calls = []
+    real = molecule.composable
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(molecule, "composable", spy)
+    assert cert.verify()
+    assert len(calls) == pastings
+
+
 def test_boundaries_have_exact_dimension(corpus_members):
     # in a regular ambient complex the k-boundary of a molecule is
     # k-dimensional for every k below the molecule's dimension

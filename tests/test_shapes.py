@@ -25,6 +25,18 @@ def test_shape_census():
         assert cube(n).size == 3 ** n
 
 
+@pytest.mark.parametrize("family", [globe, cube])
+def test_negative_globe_and_cube_are_refused(family):
+    # globe(-1) used to fail on a negative shift, cube(-1) to recurse until
+    # the recursion limit
+    with pytest.raises(ValueError, match=f"{family.__name__} needs n >= 0"):
+        family(-1)
+
+
+def test_negative_simplex_is_empty():
+    assert simplex(-1).size == 0
+
+
 def test_cube_is_iterated_cylinder():
     for n in range(1, 5):
         assert cube(n) == gray(globe(1), cube(n - 1))

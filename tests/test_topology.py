@@ -1,7 +1,7 @@
 from dircomplex import (
     OgPoset, ClosedSubset,
-    nerve, nerve_map, cell_complex, homology, euler, face_poset_roundtrip,
-    globe, simplex, cube, globe_tau, is_regular_complex,
+    nerve, nerve_map, homology, euler, face_poset_roundtrip,
+    globe, simplex, cube, globe_tau, is_regular_complex, paste,
 )
 from dircomplex.topology import (
     ChainComplex, SimplicialComplex, chain_complex, _smith_diagonal,
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from math import gcd
 import itertools
 import json
-import pytest
 
 POINT = OgPoset.point()
 
@@ -237,35 +236,17 @@ def test_euler_one_for_spherical_corpus_molecules(corpus_members):
     assert count >= 15
 
 
-def test_cell_complex_counts_and_columns():
-    cc = cell_complex(globe(2))
-    assert cc.counts == [2, 2, 1]
-    # both arrows run 0 -> 1; the 2-cell goes from arrow 0 to arrow 1
-    assert cc.columns == [[{}, {}], [{1: 1, 0: -1}, {1: 1, 0: -1}],
-                          [{1: 1, 0: -1}]]
-    assert cell_complex(ClosedSubset(POINT, 0)).counts == []
-    assert homology(cell_complex(ClosedSubset(POINT, 0))) == []
-
-
-def test_cell_complex_numbers_faces_after_cofaces():
-    # the arrow comes first in index order, its endpoints after it
-    p = OgPoset.from_records([
-        {"dim": 1, "minus": [1], "plus": [2]},
-        {"dim": 0, "minus": [], "plus": []},
-        {"dim": 0, "minus": [], "plus": []},
-    ])
-    assert cell_complex(p).columns == [[{}, {}], [{1: 1, 0: -1}]]
-    assert homology(cell_complex(p)) == homology(nerve(p)) == \
-        [(1, []), (0, [])]
-
-
 def test_cell_homology_of_sphere_families():
+    assert homology(ClosedSubset(POINT, 0)) == []
     for n in range(1, 6):
+        # two n-globes pasted along their (n-1)-boundary have no greatest
+        # element, so their ball is read off cells
+        pasted = paste(globe(n), globe(n), n - 1).whole
+        assert _matches(homology(pasted), ball_signature())
         for shape in (globe(n), simplex(n), cube(n)):
             bd = shape.whole().boundary()
-            assert _matches(homology(cell_complex(bd)),
-                            sphere_signature(bd.dim))
-            assert _matches(homology(cell_complex(shape)), ball_signature())
+            assert _matches(homology(bd), sphere_signature(bd.dim))
+            assert _matches(homology(shape), ball_signature())
 
 
 def _closed_subsets(data, p):
@@ -282,13 +263,12 @@ def _closed_subsets(data, p):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cell_homology_matches_nerve(corpus_members, data):
-    # the nerve is the oracle: both complexes must give the same homology
-    # wherever the regularity gate lets the cellular path run
+    # the nerve is the oracle: whichever complex homology picks, cone,
+    # cells or nerve, it must give the nerve's homology, on regular
+    # subsets and on the rest alike
     _, p = data.draw(st.sampled_from(corpus_members))
     for u in _closed_subsets(data, p):
-        if is_regular_complex(u):
-            assert homology(cell_complex(u)) == homology(nerve(u)), \
-                bin(u.mask)
+        assert homology(u) == homology(nerve(u)), bin(u.mask)
 
 
 # a 2-cell whose input boundary is two parallel arrows: an atom by the
@@ -303,21 +283,18 @@ PARALLEL_INPUT = OgPoset.from_records([
 ])
 
 
-def test_cell_complex_of_non_globular_atom_fails_dd_zero():
+def test_non_globular_atom_is_not_cellular():
     # d(4 - 2 - 3) = -(1 - 0): Steiner's boundary is no chain complex here,
-    # which is why topo homology asks every member to be cellular before it
-    # builds cell_complex
+    # which is why homology asks every member to be cellular before it
+    # reads homology off cells
     assert not is_regular_complex(PARALLEL_INPUT)
-    with pytest.raises(ValueError, match="boundary of a boundary"):
-        cell_complex(PARALLEL_INPUT)
-    assert [cell for _, _, cell in _cell_pass(PARALLEL_INPUT, 0b111111)] \
+    assert [cell for _, _, cell, _ in _cell_pass(PARALLEL_INPUT, 0b111111)] \
         == [True] * 5 + [False]
     # its boundary, three parallel arrows, is regular and agrees with the
     # nerve
     bd = PARALLEL_INPUT.whole().boundary()
     assert is_regular_complex(bd)
-    assert homology(cell_complex(bd)) == homology(nerve(bd)) == \
-        [(1, []), (2, [])]
+    assert homology(bd) == homology(nerve(bd)) == [(1, []), (2, [])]
 
 
 def test_is_regular_complex_checks_only_the_subset():
@@ -348,13 +325,13 @@ def test_cli_homology_takes_nerve_path_off_the_gate(tmp_path, capsys,
     from dircomplex import topology
     built = []
     _spy(monkeypatch, topology, "nerve", built)
-    _spy(monkeypatch, topology, "cell_complex", built)
+    _spy(monkeypatch, ChainComplex, "check_dd_zero", built)
     # the non-globular 2-cell is no cellular element, and a disjoint vertex
     # leaves no greatest element: only the nerve is exact
     p = OgPoset.from_records(PARALLEL_INPUT.to_json_obj()["elements"]
                              + [{"dim": 0, "minus": [], "plus": []}])
     code, out = _topo(tmp_path, capsys, p, "homology")
-    assert code == 0 and built == ["nerve"]
+    assert code == 0 and built == ["nerve", "check_dd_zero"]
     assert out["H"] == [{"betti": b, "torsion": t}
                         for b, t in homology(nerve(p))]
     # with the greatest element the nerve is a cone: nothing is built
@@ -364,9 +341,11 @@ def test_cli_homology_takes_nerve_path_off_the_gate(tmp_path, capsys,
     assert out["H"] == [{"betti": b, "torsion": t}
                         for b, t in homology(nerve(PARALLEL_INPUT))]
     built.clear()
+    # every member of the boundary is cellular: homology is read off the
+    # columns of the cell pass, each of them already checked for dd = 0
     code, out = _topo(tmp_path, capsys, PARALLEL_INPUT, "homology",
                       "--boundary")
-    assert code == 0 and built == ["cell_complex"]
+    assert code == 0 and built == []
     assert out["H"] == [{"betti": 1, "torsion": []},
                         {"betti": 2, "torsion": []}]
 
@@ -407,8 +386,7 @@ def _nerve_failures(p: OgPoset) -> tuple[int, ...]:
 def _agrees_with_nerve(u: ClosedSubset) -> None:
     q = u.extract()[0]
     assert face_poset_roundtrip(q).failures == _nerve_failures(q), q.to_json()
-    if all(cell for _, _, cell in _cell_pass(u.parent, u.mask)):
-        assert homology(cell_complex(u)) == homology(nerve(u)), q.to_json()
+    assert homology(u) == homology(nerve(u)), q.to_json()
 
 
 # a 2-cell whose boundary is a circle, two parallel arrows, both of them
@@ -424,7 +402,7 @@ CIRCLE_WITHOUT_DD = OgPoset.from_records([
 
 def test_sphere_and_cellular_masks_stay_apart(tmp_path, capsys):
     p = CIRCLE_WITHOUT_DD
-    assert list(_cell_pass(p, p.all_mask)) == \
+    assert [t[:3] for t in _cell_pass(p, p.all_mask)] == \
         [(0, True, True), (1, True, True), (2, True, True),
          (3, True, True), (4, True, False)]
     assert face_poset_roundtrip(p).failures == _nerve_failures(p) == ()
