@@ -14,6 +14,7 @@ from itertools import product
 
 from .ogposet import (
     OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism, _boundary_rows,
+    _match,
 )
 from .construct import (
     BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
@@ -302,22 +303,18 @@ def compositor_c(n: int, k: int) -> CompositorResult:
     inf = inflate(prev.whole)
     pair_n = paste(globe(n), globe(n), k)
     pair_m = prev.incl.source  # the pasted pair of (n-1)-globes
-    bd = pair_n.whole.whole().boundary(+1)
-    bd_sub, bd_incl = bd.extract()
-    iso = find_isomorphism(pair_m, bd_sub)
+    iso = _match(pair_m.whole(), pair_n.whole.whole().boundary(+1))
     if iso is None:
         raise BoundaryMismatch("compositor boundary mismatch")
     whole, j_pair, j_inf = amalgamate(pair_n.whole, inf.whole, {
-        bd_incl(iso(x)): inf.iota_minus(prev.incl(x))
-        for x in range(pair_m.size)})
+        iso[x]: inf.iota_minus(prev.incl(x)) for x in range(pair_m.size)})
     # the inflated tower collapses through tau and the previous retraction,
     # then includes along the shared output boundary of the globe pair
     collapse = inf.tau.then(prev.retr)
     retr = _agreeing_map(
         whole, pair_n.whole,
         [(j_pair(x), x) for x in range(pair_n.whole.size)]
-        + [(j_inf(y), bd_incl(iso(collapse(y))))
-           for y in range(inf.whole.size)],
+        + [(j_inf(y), iso[collapse(y)]) for y in range(inf.whole.size)],
         "compositor retraction is inconsistent")
     incl = PosetMap(pair_n.whole, whole, j_pair.assignment)
     return CompositorResult(whole, incl, retr)
@@ -406,10 +403,9 @@ def extrtil(k: int, n: int) -> ExtrTilResult:
         tower = iterated_inflate(simplex(1), k + 1)
         g = globe(k + 2)
         iso = find_isomorphism(tower, g)
-        assert iso is not None
-        inv = [0] * g.size
-        for i in range(tower.size):
-            inv[iso(i)] = i
+        if iso is None:
+            raise BoundaryMismatch("tower and globe are not isomorphic")
+        inv = sorted(range(g.size), key=iso)  # the inverse of iso
         ginc = PosetMap(g, e.whole,
                         tuple(e.j_incl(inv[x]) for x in range(g.size)))
         return ExtrTilResult(e.whole, ginc, e.retr.then(iso))

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +192,133 @@ def test_find_isomorphism_negative():
     # both are the arrow, up to the vertex relabelling of the simplex order
     iso = find_isomorphism(globe(1), simplex(1))
     assert iso is not None and iso(2) == 2
+
+
+def _iso_by_reference(p: OgPoset, q: OgPoset) -> Optional[PosetMap]:
+    """The isomorphism search that ``_match`` replaced, as the oracle.
+
+    Backtracking over elements in decreasing dimension, pruned by degree
+    profiles and by the images of already-matched cofaces.  Complete, but
+    factorial on a relabelled path: every arrow is placed before anything
+    constrains it.
+    """
+    if p.size != q.size or p.dim != q.dim:
+        return None
+
+    def profile(poset, i):
+        return (poset.faces_minus[i].bit_count(),
+                poset.faces_plus[i].bit_count(),
+                poset.cofaces_minus[i].bit_count(),
+                poset.cofaces_plus[i].bit_count())
+
+    p_prof = [profile(p, i) for i in range(p.size)]
+    q_prof = [profile(q, i) for i in range(q.size)]
+    for d in range(p.dim + 1):
+        if sorted(p_prof[i] for i in bits(p.dim_mask(d))) != \
+           sorted(q_prof[i] for i in bits(q.dim_mask(d))):
+            return None
+
+    order = sorted(range(p.size), key=lambda i: (-p.dims[i], i))
+    assign: list[Optional[int]] = [None] * p.size
+    used = [False] * q.size
+
+    def candidates(x):
+        cand = None
+        for sign, cof in ((-1, p.cofaces_minus[x]), (+1, p.cofaces_plus[x])):
+            for y in bits(cof):
+                fy = assign[y]
+                if fy is not None:
+                    faces = (q.faces_minus[fy] if sign < 0
+                             else q.faces_plus[fy])
+                    cand = faces if cand is None else cand & faces
+        if cand is None:
+            cand = q.dim_mask(p.dims[x])
+        return [c for c in bits(cand)
+                if not used[c] and q_prof[c] == p_prof[x]
+                and q.dims[c] == p.dims[x]]
+
+    tries: list[Iterator[int]] = []
+    pos = 0
+    while pos < len(order):
+        x = order[pos]
+        if assign[x] is None:
+            tries.append(iter(candidates(x)))
+        else:
+            used[assign[x]] = False
+        assign[x] = c = next(tries[-1], None)
+        if c is None:
+            tries.pop()
+            if not tries:
+                return None
+            pos -= 1
+        else:
+            used[c] = True
+            pos += 1
+    f = PosetMap(p, q, tuple(assign))
+    return f if f.preserves_faces_exactly() else None
+
+
+def relabelled(p: OgPoset, data) -> OgPoset:
+    """p rebuilt through ``from_records`` with the elements of each
+    dimension in a drawn order."""
+    order = []
+    for d in range(p.dim + 1):
+        order += data.draw(st.permutations(list(p.elements_of_dim(d))))
+    new = {old: i for i, old in enumerate(order)}
+    return OgPoset.from_records([
+        (p.dims[old], [new[j] for j in bits(p.faces_minus[old])],
+         [new[j] for j in bits(p.faces_plus[old])]) for old in order])
+
+
+def _is_isomorphism(f) -> bool:
+    return f.is_injective and f.is_surjective and f.preserves_faces_exactly()
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_oriented_graded_posets(), q=_oriented_graded_posets(),
+       data=st.data())
+def test_find_isomorphism_agrees_with_the_reference(p, q, data):
+    # a relabelled copy always matches; an independent poset matches
+    # exactly when the reference finds a map
+    for other in (relabelled(p, data), q):
+        f = find_isomorphism(p, other)
+        assert (f is None) == (_iso_by_reference(p, other) is None)
+        assert f is None or _is_isomorphism(f)
+    assert find_isomorphism(p, relabelled(p, data)) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_find_isomorphism_is_the_unique_map_on_corpus_molecules(
+        corpus_members, data):
+    # molecules have no nontrivial automorphisms, so both searches must
+    # return the same map, however the copy is numbered
+    _, p = data.draw(st.sampled_from(
+        [m for m in corpus_members if m[1].size <= 80]))
+    q = relabelled(p, data)
+    f, g = find_isomorphism(p, q), _iso_by_reference(p, q)
+    assert f is not None and g is not None
+    assert f.assignment == g.assignment
+
+
+def test_subset_operations_check_the_parent_under_python_O():
+    # with -O an assert is stripped, so the check must be a raise
+    script = (
+        "from dircomplex import globe\n"
+        "a, b = globe(1).whole(), globe(2).whole()\n"
+        "for op in ('__and__', '__or__', '__sub__'):\n"
+        "    try:\n"
+        "        getattr(a, op)(b)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(op + ' accepted subsets of another poset')\n"
+        "if not (a & a).mask == (a | a).mask == a.mask or (a - a):\n"
+        "    raise SystemExit('subsets of one poset were refused')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr + out.stdout
 
 
 def test_maps_preserve_boundaries_on_corpus_maps():

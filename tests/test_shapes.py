@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +434,20 @@ def test_enumerate_maps_deterministic():
     one = [f.assignment for f in enumerate_maps(simplex(2), simplex(1))]
     two = [f.assignment for f in enumerate_maps(simplex(2), simplex(1))]
     assert one == two
+
+
+def test_extrtil_refuses_a_missing_tower_match_under_python_O():
+    # with -O an assert is stripped, so the check must be a raise
+    script = (
+        "from dircomplex import BoundaryMismatch, shapes\n"
+        "shapes.find_isomorphism = lambda p, q: None\n"
+        "try:\n"
+        "    shapes.extrtil(0, 2)\n"
+        "except BoundaryMismatch:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('extrtil went on without a tower-to-globe map')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr + out.stdout
