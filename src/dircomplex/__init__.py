@@ -10,7 +10,7 @@ from .ogposet import (
     OgPoset, ClosedSubset, PosetMap,
     InvalidStructure, FaceDimMismatch, OrientationClash, NotGraded,
     IndexOutOfRange, InvalidMap,
-    factorize, find_isomorphism,
+    find_isomorphism,
 )
 from .molecule import (
     MoleculeCert, NotAMolecule,
@@ -21,8 +21,8 @@ from .molecule import (
 from .construct import (
     PastingResult, BoundaryMismatch, NotASubmolecule, NotSpherical, NotClosed,
     paste, paste_along, substitute, celto, compos,
-    gray, gray_map, gray_boundary_check, join, join_boundary_check,
-    suspend, dual, op, co, op_all,
+    gray, gray_boundary_check, join, join_boundary_check,
+    suspend, dual, op,
     cylinder_quotient, inflate, inflate_map, unitor_shape, reverse_map,
 )
 from .shapes import (
@@ -33,7 +33,7 @@ from .shapes import (
 )
 from .topology import (
     SimplicialComplex, ChainComplex,
-    nerve, nerve_map, homology, euler, face_poset_roundtrip,
+    nerve, homology, euler, face_poset_roundtrip,
 )
 from .corpus import gen_corpus
 

@@ -55,6 +55,22 @@ def _require_spherical(cert: MoleculeCert) -> MoleculeCert:
     return cert
 
 
+def _require_submolecule(v: ClosedSubset, ambient: ClosedSubset, stray: str,
+                         where: str) -> MoleculeCert:
+    """v's certificate, once v is a molecule in ambient's poset that
+    ``find_submolecule`` finds in ambient; ``stray`` is the message for a v
+    of another poset, ``where`` names ambient in the last refusal."""
+    if v.parent != ambient.parent:
+        raise NotASubmolecule(stray)
+    cv = is_molecule(v)
+    if cv is None:
+        raise NotASubmolecule("v is not a molecule")
+    ca = is_molecule(ambient)
+    if ca is None or find_submolecule(cv, ca) is None:
+        raise NotASubmolecule(f"v is not a submolecule of {where}")
+    return cv
+
+
 def amalgamate(u: OgPoset, v: OgPoset, pairing: dict[int, int]
                ) -> tuple[OgPoset, PosetMap, PosetMap]:
     """Pushout of two inclusions: glue v onto u, identifying each element x
@@ -145,15 +161,8 @@ def paste_along(u1: OgPoset, u2: OgPoset, v: ClosedSubset, sign: int
     """
     _require_molecule(u1)
     _require_molecule(u2)
-    if v.parent != u2:
-        raise NotASubmolecule("v must be a subset of u2")
-    cv = is_molecule(v)
-    if cv is None:
-        raise NotASubmolecule("v is not a molecule")
-    bd2 = u2.whole().boundary(sign)
-    cb = is_molecule(bd2)
-    if cb is None or find_submolecule(cv, cb) is None:
-        raise NotASubmolecule("v is not a submolecule of the boundary")
+    _require_submolecule(v, u2.whole().boundary(sign),
+                         "v must be a subset of u2", "the boundary")
     bu1 = u1.whole().boundary(-sign)
     whole, j1, j2 = amalgamate(u1, u2, _boundary_iso(bu1, v))
     return PastingResult(whole, j1, j2, u1.dim - 1)
@@ -168,19 +177,13 @@ class SubstitutionResult:
 
 def substitute(u: OgPoset, v: ClosedSubset, w: OgPoset) -> SubstitutionResult:
     """Replace the submolecule v of u by w, glued along their boundaries."""
-    cu = _require_molecule(u)
-    if v.parent != u:
-        raise NotASubmolecule("v must be a subset of u")
-    cv = is_molecule(v)
-    if cv is None:
-        raise NotASubmolecule("v is not a molecule")
+    _require_molecule(u)
+    cv = _require_submolecule(v, u.whole(), "v must be a subset of u", "u")
     cw = _require_molecule(w)
     if not (u.dim == v.dim == w.dim):
         raise BoundaryMismatch("substitution requires equal dimensions")
     _require_spherical(cv)
     _require_spherical(cw)
-    if find_submolecule(cv, cu) is None:
-        raise NotASubmolecule("v is not a submolecule of u")
 
     pairing = _boundary_pairing(v, w.whole())
     interior = v.mask & ~v.boundary().mask
@@ -285,29 +288,34 @@ def gray(p: OgPoset, q: OgPoset) -> OgPoset:
     return gray_with_index(p, q)[0]
 
 
-def gray_map(f: PosetMap, g: PosetMap) -> PosetMap:
-    src, sidx = gray_with_index(f.source, g.source)
-    tgt, tidx = gray_with_index(f.target, g.target)
-    assign = [0] * src.size
-    for (i, j), n in sidx.items():
-        assign[n] = tidx[(f(i), g(j))]
-    return PosetMap(src, tgt, tuple(assign))
+def _factor_rows(p: OgPoset) -> list[tuple[list[int], list[int]]]:
+    """``(bd-_i p, bd+_i p)`` as element lists for i < dim p, then p itself,
+    which is bd_i p for every larger i."""
+    rows = [(list(bits(m)), list(bits(q))) for m, q in p.whole().boundaries()]
+    return rows + [(list(range(p.size)), list(range(p.size)))]
+
+
+def _product_boundary(u_rows, v_rows, idx, k: int, sign: int) -> int:
+    """The union over i <= k of bd^sign_i u x bd^(sign (-1)^i)_(k-i) v as a
+    mask over the pair index ``idx``, skipping the pair (-1, -1) of two
+    bottoms, which a join lacks; a factor's last row serves for later i."""
+    out = 0
+    for i in range(k + 1):
+        us = u_rows[min(i, len(u_rows) - 1)][sign > 0]
+        vs = v_rows[min(k - i, len(v_rows) - 1)][(sign > 0) == (i % 2 == 0)]
+        for a in us:
+            for b in vs:
+                if a >= 0 or b >= 0:
+                    out |= 1 << idx[(a, b)]
+    return out
 
 
 def gray_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
-    """bd_k(u (x) v) must be the union of bd_i u (x) bd_{k-i} v with the
-    alternating sign rule on the second factor."""
+    """bd^sign_k(u (x) v) is the union over i of bd^sign_i u (x)
+    bd^(sign (-1)^i)_(k-i) v, also when a factor is empty."""
     prod, idx = gray_with_index(u, v)
-    lhs = prod.whole().boundary(sign, k).mask
-    rhs = 0
-    for i in range(k + 1):
-        s2 = sign if i % 2 == 0 else -sign
-        bu = u.whole().boundary(sign, i).mask
-        bv = v.whole().boundary(s2, k - i).mask
-        for a in bits(bu):
-            for b in bits(bv):
-                rhs |= 1 << idx[(a, b)]
-    return lhs == rhs
+    return prod.whole().boundary(sign, k).mask == _product_boundary(
+        _factor_rows(u), _factor_rows(v), idx, k, sign)
 
 
 def join_with_index(p: OgPoset, q: OgPoset
@@ -335,34 +343,21 @@ def join(p: OgPoset, q: OgPoset) -> OgPoset:
 
 
 def join_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
-    """The even/odd case split for boundaries of a join of molecules."""
+    """The Gray formula at k + 1 on the factors with a bottom -1 adjoined.
+
+    The join is their Gray product less (-1, -1), its only 0-element, which
+    lies below everything, shifted down one dimension: so bd_k of the join
+    is bd_(k+1) of the product less (-1, -1).  The bottom is the + face of
+    every vertex, so a bottomed factor has bd+_0 = {-1} and bd-_0 empty, or
+    {-1} when the factor is empty; for i >= 1 its bd_i is {-1} with
+    bd_(i-1) of the factor.  An empty factor needs no case of its own.
+    """
     prod, idx = join_with_index(u, v)
-    lhs = prod.whole().boundary(sign, k).mask
-
-    def embed(bu, bv):
-        out = 0
-        for a in bits(bu):
-            out |= 1 << idx[(a, -1)]
-        for b in bits(bv):
-            out |= 1 << idx[(-1, b)]
-        for a in bits(bu):
-            for b in bits(bv):
-                out |= 1 << idx[(a, b)]
-        return out
-
-    rhs = 0
-    for i in range(1, k + 1):
-        s2 = sign if i % 2 == 0 else -sign
-        rhs |= embed(u.whole().boundary(sign, i - 1).mask,
-                     v.whole().boundary(s2, k - i).mask)
-    if sign == -1:
-        if k % 2 == 0:
-            rhs |= embed(u.whole().boundary(-1, k).mask, 0)
-    else:
-        rhs |= embed(0, v.whole().boundary(+1, k).mask)
-        if k % 2 == 1:
-            rhs |= embed(u.whole().boundary(+1, k).mask, 0)
-    return lhs == rhs
+    rows = [[([-1] if not p.size else [], [-1])]
+            + [([-1] + m, [-1] + pl) for m, pl in _factor_rows(p)]
+            for p in (u, v)]
+    return prod.whole().boundary(sign, k).mask == _product_boundary(
+        *rows, idx, k + 1, sign)
 
 
 def suspend(p: OgPoset) -> OgPoset:
@@ -380,11 +375,6 @@ def suspend(p: OgPoset) -> OgPoset:
     return OgPoset(dims, fm, fp)
 
 
-def suspend_map(f: PosetMap) -> PosetMap:
-    return PosetMap(suspend(f.source), suspend(f.target),
-                    (0, 1) + tuple(a + 2 for a in f.assignment))
-
-
 def dual(p: OgPoset, dims_to_flip) -> OgPoset:
     """Reverse the orientation of all covering edges out of the named dims."""
     flip = set(dims_to_flip)
@@ -399,14 +389,6 @@ def dual(p: OgPoset, dims_to_flip) -> OgPoset:
 
 def op(p: OgPoset) -> OgPoset:
     return dual(p, range(1, p.dim + 1, 2))
-
-
-def co(p: OgPoset) -> OgPoset:
-    return dual(p, range(2, p.dim + 1, 2))
-
-
-def op_all(p: OgPoset) -> OgPoset:
-    return dual(p, range(1, p.dim + 1))
 
 
 # -- cylinders, quotients, units ----------------------------------------
@@ -532,25 +514,21 @@ def unitor_shape(u: OgPoset, v: ClosedSubset, side: str, sign: int
     cylinder quotient collapsing everything outside v's interior; the other
     variants are its top-dimensional dual with the reversed retraction.
     """
-    cu = _require_spherical(_require_molecule(u))
-    if v.parent != u:
-        raise NotASubmolecule("v must live in u")
-    cv = is_molecule(v)
-    if cv is None:
-        raise NotASubmolecule("v is not a molecule")
-    _require_spherical(cv)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if sign not in (-1, +1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    _require_spherical(_require_molecule(u))
+    bd_sign = -1 if side == "left" else +1
+    _require_spherical(_require_submolecule(
+        v, u.whole().boundary(bd_sign), "v must live in u",
+        f"the {side} boundary"))
     if v.dim != u.dim - 1:
         raise BoundaryMismatch("v must sit one dimension below u")
-    bd_sign = -1 if side == "left" else +1
-    bd = u.whole().boundary(bd_sign)
-    cb = is_molecule(bd)
-    if cb is None or find_submolecule(cv, cb) is None:
-        raise NotASubmolecule(f"v is not a submolecule of the {side} boundary")
     w = u.whole().boundary() - (v - v.boundary())
     shape, cls = _cylinder_quotient(u, w)
     retr = _collapse(shape, u, cls)
-    base_sign = +1 if side == "left" else -1
-    if sign == base_sign:
+    if sign == -bd_sign:
         return shape, retr
     return dual(shape, [u.dim + 1]), reverse_map(retr)
 

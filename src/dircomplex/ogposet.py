@@ -580,15 +580,6 @@ class PosetMap:
                 f"{self.kind})")
 
 
-def factorize(f: PosetMap) -> tuple[PosetMap, PosetMap]:
-    """Split a map into a surjection onto its image and an inclusion."""
-    image_mask = f.image_mask(f.source.all_mask)
-    mid, incl = ClosedSubset(f.target, image_mask).extract()
-    back = {e: i for i, e in enumerate(incl.assignment)}
-    surj = PosetMap(f.source, mid, tuple(back[a] for a in f.assignment))
-    return surj, incl
-
-
 def find_isomorphism(p: OgPoset, q: OgPoset) -> Optional[PosetMap]:
     """An isomorphism of p onto q or None, matched in connected order by
     ``_match``: unique on molecules, elsewhere the first one found.  A

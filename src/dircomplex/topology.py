@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .ogposet import OgPoset, ClosedSubset, PosetMap, bits
+from .ogposet import OgPoset, ClosedSubset, bits
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,6 @@ def nerve(p: Union[OgPoset, ClosedSubset]) -> SimplicialComplex:
         levels.append(sorted(current))
         current = [c + (e,) for c in current for e in bits(strict_up[c[-1]])]
     return SimplicialComplex(tuple(tuple(lv) for lv in levels))
-
-
-def nerve_map(f: PosetMap, k: SimplicialComplex) -> SimplicialComplex:
-    """Image of a nerve under a monotone map, degenerate chains collapsed."""
-    levels: list[set[tuple[int, ...]]] = []
-    for level in k.simplices:
-        for chain in level:
-            image = []
-            for x in chain:
-                y = f(x)
-                if not image or image[-1] != y:
-                    image.append(y)
-            d = len(image) - 1
-            while len(levels) <= d:
-                levels.append(set())
-            levels[d].add(tuple(image))
-    return SimplicialComplex(tuple(tuple(sorted(lv)) for lv in levels))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 
@@ -9,16 +10,17 @@ from dircomplex import (
     OgPoset, ClosedSubset, PosetMap, find_isomorphism,
     is_molecule, is_atom, has_spherical_boundary, is_regular_complex,
     paste, paste_along, substitute, celto, compos,
-    gray, gray_map, gray_boundary_check, join, join_boundary_check,
-    suspend, dual, op, co, op_all,
+    gray, gray_boundary_check, join, join_boundary_check,
+    suspend, dual, op,
     cylinder_quotient, inflate, inflate_map, unitor_shape, reverse_map,
     BoundaryMismatch, NotAMolecule, NotASubmolecule, NotSpherical,
     NotClosed,
     globe, simplex, cube, globe_element, compositor_c, extr, extrtil, phi,
     folding_a,
 )
+from dircomplex import construct
 from dircomplex.construct import (
-    amalgamate, gray_with_index, join_with_index, suspend_map, _boundary_iso,
+    amalgamate, gray_with_index, join_with_index, _boundary_iso,
 )
 from dircomplex.ogposet import bits
 
@@ -343,14 +345,6 @@ def test_gray_of_molecules_is_molecule():
     assert is_regular_complex(prod)
 
 
-def test_gray_map_functorial():
-    f = PosetMap(globe(1), POINT, (0, 0, 0))
-    g = PosetMap.identity(globe(1))
-    gm = gray_map(f, g)
-    gm.check()
-    assert gm.source == gray(globe(1), globe(1))
-
-
 # -- joins ------------------------------------------------------------------
 
 
@@ -369,6 +363,30 @@ def test_join_boundary_formula_examples():
             assert join_boundary_check(globe(1), globe(1), k, s)
             assert join_boundary_check(simplex(1), simplex(2), k, s)
             assert join_boundary_check(POINT, globe(2), k, s)
+
+
+def test_boundary_formulas_hold_with_an_empty_factor():
+    # join(EMPTY, v) is v, so the join formula must hold there too
+    for v in (POINT, globe(1), globe(2), simplex(2)):
+        for a, b in ((EMPTY, v), (v, EMPTY)):
+            for k in range(v.dim + 3):
+                for s in (-1, +1):
+                    assert gray_boundary_check(a, b, k, s), (a, b, k, s)
+                    assert join_boundary_check(a, b, k, s), (a, b, k, s)
+
+
+def test_boundary_checks_fail_on_an_untwisted_product(monkeypatch):
+    # drop the second factor's orientation twist: both formulas must break
+    src = inspect.getsource(construct._gray_tables)
+    twist = "qf = q_twisted if d % 2 else q_faces"
+    assert twist in src
+    untwisted = {}
+    exec(src.replace(twist, "qf = q_faces"), vars(construct), untwisted)
+    monkeypatch.setattr(construct, "_gray_tables", untwisted["_gray_tables"])
+    g = globe(1)
+    cases = [(k, s) for k in range(4) for s in (-1, +1)]
+    assert not all(gray_boundary_check(g, g, k, s) for k, s in cases)
+    assert not all(join_boundary_check(g, g, k, s) for k, s in cases)
 
 
 def test_join_op_swap():
@@ -406,13 +424,6 @@ def test_suspend_boundary_law():
             assert got == want
 
 
-def test_suspend_functorial():
-    tau = PosetMap(globe(1), POINT, (0, 0, 0))
-    sm = suspend_map(tau)
-    sm.check()
-    assert find_isomorphism(sm.target, globe(1)) is not None
-
-
 def test_duals():
     assert dual(simplex(2), []) == simplex(2)
     assert dual(dual(simplex(3), [1, 3]), [3, 1]) == simplex(3)
@@ -420,8 +431,8 @@ def test_duals():
     w = flipped.whole()
     assert sorted(w.boundary(-1, 1).elements()) == [0, 1, 3]
     assert op(op(simplex(3))) == simplex(3)
-    assert co(co(simplex(3))) == simplex(3)
-    assert op_all(op_all(cube(2))) == cube(2)
+    assert dual(dual(simplex(3), [2]), [2]) == simplex(3)
+    assert dual(dual(cube(2), [1, 2]), [1, 2]) == cube(2)
     with pytest.raises(ValueError):
         dual(globe(1), [0])
 
@@ -429,8 +440,8 @@ def test_duals():
 def test_dual_gray_swap():
     p, q = globe(1), simplex(2)
     assert find_isomorphism(op(gray(p, q)), gray(op(q), op(p))) is not None
-    assert find_isomorphism(op_all(gray(p, q)),
-                            gray(op_all(p), op_all(q))) is not None
+    assert find_isomorphism(dual(gray(p, q), [1, 2, 3]),
+                            gray(dual(p, [1]), dual(q, [1, 2]))) is not None
 
 
 # -- cylinders, units ---------------------------------------------------------
@@ -575,6 +586,16 @@ def test_unitor_right_side():
     assert plus_shape == dual(shape, [2])
     with pytest.raises(NotASubmolecule):
         unitor_shape(u, u.closure([0]), "right", -1)
+
+
+def test_unitor_refuses_unknown_side_and_sign():
+    u = phi(3).whole
+    v = u.whole().boundary(+1)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        unitor_shape(u, v, "Left", +1)
+    with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+        unitor_shape(u, v, "right", 0)
+    unitor_shape(u, v, "right", -1)
 
 
 def test_reverse_map_clauses():

@@ -83,11 +83,11 @@ def test_pasting_inclusions_are_valid(corpus_members):
 def test_recognizer_closure_agreement_on_twisted_shapes():
     # duals reverse flows, joins mix sign parities, suspensions shift dims;
     # the two recognition routes must still agree subset-by-subset
-    from dircomplex import op, co, suspend, join, gray
+    from dircomplex import op, dual, suspend, join, gray
     path = paste(globe(1), globe(1), 0).whole
     twisted = [
         op(paste(globe(2), globe(2), 1).whole),
-        co(phi(3).whole),
+        dual(phi(3).whole, [2]),
         suspend(path),
         join(globe(1), OgPoset.point()),
         gray(path, globe(1)),
@@ -100,12 +100,12 @@ def test_recognizer_closure_agreement_on_twisted_shapes():
 
 
 def test_constructors_preserve_regularity(corpus_members):
-    from dircomplex import (op_all, suspend, join, gray, cylinder_quotient,
+    from dircomplex import (dual, suspend, join, gray, cylinder_quotient,
                             is_regular_complex)
     small = [p for _, p in corpus_members if p.size <= 15]
     for p in small[:8]:
         assert is_regular_complex(suspend(p))
-        assert is_regular_complex(op_all(p))
+        assert is_regular_complex(dual(p, range(1, p.dim + 1)))
     for a in small[:5]:
         for b in small[:5]:
             if a.dim + b.dim <= 3:

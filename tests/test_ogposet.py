@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dircomplex import (
     OgPoset, PosetMap, ClosedSubset, InvalidStructure, InvalidMap,
     FaceDimMismatch, OrientationClash, NotGraded, IndexOutOfRange,
-    factorize, find_isomorphism, enumerate_maps,
+    find_isomorphism, enumerate_maps,
     globe, simplex, globe_element, simplex_index, globe_tau,
     folding_a, cube, gray, paste, is_regular_complex,
     homology, nerve,
@@ -152,26 +152,6 @@ def test_apply_map():
     d2 = simplex(2)
     img = a2.image(d2.closure([simplex_index((1, 0, 1))]))
     assert img.mask == globe(2).closure([globe_element(2, 1, -1)]).mask
-
-
-def test_factorize_inclusion_and_surjection():
-    d2 = simplex(2)
-    bd, incl = d2.whole().boundary().extract()
-    s, i = factorize(incl)
-    assert s.kind == "isomorphism" and i.assignment == incl.assignment
-    tau = globe_tau(2, 0)
-    s, i = factorize(tau)
-    assert s.is_surjective and i.kind in ("inclusion", "isomorphism")
-    assert s.then(i).assignment == tau.assignment
-
-
-def test_factorize_composite_through_point():
-    s0 = PosetMap(simplex(1), simplex(0), (0, 0, 0))
-    d0 = PosetMap(simplex(0), simplex(1), (0,))
-    comp = s0.then(d0)
-    s, i = factorize(comp)
-    assert s.target.size == 1  # image collapses to a single vertex
-    assert s.then(i).assignment == comp.assignment
 
 
 def test_find_isomorphism_is_identity_on_molecules(corpus_members):

@@ -320,7 +320,7 @@ def test_last_vertex():
 
 
 def test_last_vertex_induces_subdivision_map():
-    from dircomplex.topology import nerve, nerve_map
+    from dircomplex.topology import nerve
     n = 2
     gam = last_vertex(n)
     sd = nerve(simplex(n))

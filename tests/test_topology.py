@@ -1,6 +1,6 @@
 from dircomplex import (
     OgPoset, ClosedSubset,
-    nerve, nerve_map, homology, euler, face_poset_roundtrip,
+    nerve, homology, euler, face_poset_roundtrip,
     globe, simplex, cube, globe_tau, is_regular_complex, paste,
 )
 from dircomplex.topology import (
@@ -185,15 +185,6 @@ def test_euler():
     assert euler(nerve(simplex(3))) == 1
     assert euler(nerve(globe(3).whole().boundary())) == 2
     assert euler(nerve(globe(2).whole().boundary())) == 0
-
-
-def test_nerve_functorial():
-    f = globe_tau(2, 1)
-    g = globe_tau(1, 0)
-    k = nerve(globe(2))
-    once = nerve_map(f.then(g), k)
-    twice = nerve_map(g, nerve_map(f, k))
-    assert once == twice
 
 
 def test_face_poset_roundtrip_families():
