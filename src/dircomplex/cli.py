@@ -185,10 +185,8 @@ def _cmd_check(args) -> int:
         ok = cert is not None and has_spherical_boundary(cert)
     elif kind == "regular":
         ok = is_regular_complex(sub)
-    elif kind == "loopfree":
+    else:  # loopfree, the last of the choices
         ok = is_totally_loop_free(sub.extract()[0])
-    else:
-        raise SystemExit(2)
     _emit_check(kind, ok, cert, args.json)
     return 0 if ok else 1
 
@@ -257,11 +255,9 @@ def _cmd_topo(args) -> int:
         _emit({"euler": 1 if cone else topology.euler(topology.nerve(sub))},
               args.json)
         return 0
-    if verb == "cwcheck":
-        rep = topology.face_poset_roundtrip(p)
-        _emit(rep.to_json_obj(), args.json)
-        return 0 if rep.ok else 1
-    raise SystemExit(2)
+    rep = topology.face_poset_roundtrip(p)  # cwcheck, the last choice
+    _emit(rep.to_json_obj(), args.json)
+    return 0 if rep.ok else 1
 
 
 def _cmd_corpus(args) -> int:
@@ -282,6 +278,47 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+# the grammar: command -> (handler, ``add_parser`` keywords, arguments as
+# ``add_argument`` (name, keywords) pairs: positionals, then switches and
+# one-value options).  ``build_parser`` and ``_plain_parse`` read it
+_COMMANDS = {
+    "shape": (_cmd_shape, {"help": "emit a named shape"}, (
+        ("family", {"choices": list(_SHAPES)}),
+        ("params", {"nargs": "*", "type": int}))),
+    "map": (_cmd_map, {"help": "emit a named map"}, (
+        ("name", {"choices": list(_MAPS)}),
+        ("params", {"nargs": "*", "type": int}))),
+    "check": (_cmd_check, {"help": "run a predicate on a complex"}, (
+        ("predicate", {"choices": ["molecule", "atom", "spherical",
+                                   "regular", "loopfree"]}),
+        ("file", {}),
+        ("--subset", {"help": "comma-separated generating elements"}))),
+    "op": (_cmd_op, {"help": "apply a constructor"}, (
+        ("operation", {"choices": list(_OPS)}),
+        ("args", {"nargs": "*"}),
+        ("--emit-maps", {"action": "store_true"}))),
+    "topo": (_cmd_topo, {
+        "help": "nerve / homology backend",
+        "description": "nerve, homology and euler act on the selected "
+                       "subset (--subset, --boundary); cwcheck always "
+                       "reports on every atom of the whole complex"}, (
+        ("verb", {"choices": ["nerve", "homology", "euler", "cwcheck"]}),
+        ("file", {}),
+        ("--subset", {"help": "comma-separated generating elements "
+                              "(ignored by cwcheck)"}),
+        ("--boundary", {"action": "store_true",
+                        "help": "take the boundary of the subset (ignored "
+                                "by cwcheck)"}))),
+    "corpus": (_cmd_corpus, {"help": "list or emit corpus members"}, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--max-dim", {"type": int, "default": 4}),
+        ("--max-size", {"type": int, "default": 200}),
+        ("--emit", {"help": "name of the member to print"}))),
+    "dot": (_cmd_dot, {"help": "Hasse diagram in DOT format"}, (
+        ("file", {}),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dircomplex",
@@ -289,56 +326,66 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true",
                     help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("shape", help="emit a named shape")
-    sp.add_argument("family", choices=list(_SHAPES))
-    sp.add_argument("params", nargs="*", type=int)
-    sp.set_defaults(func=_cmd_shape)
-
-    mp = sub.add_parser("map", help="emit a named map")
-    mp.add_argument("name", choices=list(_MAPS))
-    mp.add_argument("params", nargs="*", type=int)
-    mp.set_defaults(func=_cmd_map)
-
-    cp = sub.add_parser("check", help="run a predicate on a complex")
-    cp.add_argument("predicate",
-                    choices=["molecule", "atom", "spherical",
-                             "regular", "loopfree"])
-    cp.add_argument("file")
-    cp.add_argument("--subset", help="comma-separated generating elements")
-    cp.set_defaults(func=_cmd_check)
-
-    opp = sub.add_parser("op", help="apply a constructor")
-    opp.add_argument("operation", choices=list(_OPS))
-    opp.add_argument("args", nargs="*")
-    opp.add_argument("--emit-maps", action="store_true")
-    opp.set_defaults(func=_cmd_op)
-
-    tp = sub.add_parser(
-        "topo", help="nerve / homology backend",
-        description="nerve, homology and euler act on the selected subset "
-                    "(--subset, --boundary); cwcheck always reports on "
-                    "every atom of the whole complex")
-    tp.add_argument("verb", choices=["nerve", "homology", "euler", "cwcheck"])
-    tp.add_argument("file")
-    tp.add_argument("--subset", help="comma-separated generating elements "
-                                     "(ignored by cwcheck)")
-    tp.add_argument("--boundary", action="store_true",
-                    help="take the boundary of the subset (ignored by "
-                         "cwcheck)")
-    tp.set_defaults(func=_cmd_topo)
-
-    gp = sub.add_parser("corpus", help="list or emit corpus members")
-    gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--max-dim", type=int, default=4)
-    gp.add_argument("--max-size", type=int, default=200)
-    gp.add_argument("--emit", help="name of the member to print")
-    gp.set_defaults(func=_cmd_corpus)
-
-    dp = sub.add_parser("dot", help="Hasse diagram in DOT format")
-    dp.add_argument("file")
-    dp.set_defaults(func=_cmd_dot)
+    for command, (func, keywords, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(command, **keywords)
+        for name, kw in arguments:
+            sp.add_argument(name, **kw)
+        sp.set_defaults(func=func)
     return ap
+
+
+def _plain_value(token: str, kw: dict):
+    """token as ``add_argument(..., **kw)`` stores it, or None where the
+    plain parse declines: a token starting with - (but the file -), a
+    failing type or a word outside the choices."""
+    if token[:1] == "-" and token != "-":
+        return None
+    try:
+        value = kw.get("type", str)(token)
+    except ValueError:
+        return None
+    return value if value in kw.get("choices", (value,)) else None
+
+
+def _plain_parse(argv: list) -> argparse.Namespace | None:
+    """``_PARSER.parse_args(argv)`` read from ``_COMMANDS`` for argv in the
+    plain form: an optional leading ``--json``, the command, its positionals
+    in order, then exact option strings, each value option followed by its
+    value.  None for anything else (abbreviations, ``--opt=value``, ``-h``,
+    ``--``, misplaced or missing tokens), which argparse then parses."""
+    as_json = argv[:1] == ["--json"]
+    command, *rest = argv[as_json:] or [None]
+    if command not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[command]
+    ns = {"json": as_json, "command": command, "func": func}
+    i, n = 0, len(rest)
+    for name, kw in arguments:
+        if name[0] == "-":
+            ns[name[2:].replace("-", "_")] = kw.get(
+                "default", False if "action" in kw else None)
+            continue
+        many, values = kw.get("nargs") == "*", []
+        while i < n and (many or not values):
+            value = _plain_value(rest[i], kw)
+            if value is None:
+                break
+            values.append(value)
+            i += 1
+        if not (many or values):
+            return None
+        ns[name] = values if many else values[0]
+    options = dict(arguments)
+    while i < n and rest[i][:2] == "--" and rest[i] in options:
+        kw, dest = options[rest[i]], rest[i][2:].replace("-", "_")
+        if "action" in kw:  # store_true
+            ns[dest], i = True, i + 1
+            continue
+        ns[dest] = value = _plain_value(rest[i + 1], kw) if i + 1 < n else None
+        if value is None:
+            return None
+        i += 2
+    return argparse.Namespace(**ns) if i == n else None
 
 
 # built once: building takes far longer than parsing one request
@@ -350,10 +397,12 @@ def run(argv) -> int:
 
     A closed stdout pipe raises ``BrokenPipeError``; ``main`` handles it.
     """
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _plain_parse(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except BrokenPipeError:

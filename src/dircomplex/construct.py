@@ -121,7 +121,7 @@ class PastingResult:
 
 def _boundary_iso(a: ClosedSubset, b: ClosedSubset) -> dict[int, int]:
     """``ogposet._match`` of a onto b as ambient indices: unique on molecules,
-    else the first found; a relabelled 200-arrow path takes 7 to 102 ms."""
+    else the first found; a relabelled 1,000-arrow path takes 28 to 60 ms."""
     iso = _match(a, b)
     if iso is None:
         raise BoundaryMismatch("boundaries are not isomorphic")

@@ -146,16 +146,23 @@ def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
     bit i, for the least i whose closure adds no higher bit.  Closures
     follow the forcing rows outward and stop at the first higher bit, and
     each row is built on first use, so the first code, which recognition
-    nearly always keeps, reads a few rows instead of all t of them.
+    nearly always keeps, reads a few rows instead of all t of them; a bit i
+    whose ``reach`` meets the ``downs`` of a higher bit the code lacks is
+    passed over without one.
     """
     t = len(downs)
     rows = [-1] * t  # the tops that top j forces, -1 until built
     full = (1 << t) - 1
     code = 0
     while True:
-        bit = 1
-        while bit <= full:  # bit i, for i = 0, 1, ...
-            if not code & bit:
+        lacked, union = [0] * t, 0  # lacked[i]: downs of the lacks above i
+        for j in range(t - 1, 0, -1):
+            if not code >> j & 1:
+                union |= downs[j]
+            lacked[j - 1] = union
+        for i in range(t):
+            bit = 1 << i
+            if not code & bit and not reach[i] & lacked[i]:
                 above = -(bit << 1)
                 lacks = above & ~code  # bit i may force none of these
                 closed = todo = code & above | bit
@@ -179,7 +186,6 @@ def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
                 else:
                     code = closed
                     break
-            bit <<= 1
         else:
             return
         if code == full:

@@ -2,12 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dircomplex
 from dircomplex import OgPoset, cube, dual, globe, simplex, gen_corpus, shapes
-from dircomplex.cli import run, export_dot, _SHAPES, _SHAPE_LIMIT
+from dircomplex.cli import (
+    run, export_dot, _COMMANDS, _PARSER, _SHAPES, _SHAPE_LIMIT, _plain_parse,
+)
+
+MANIFEST = Path(__file__).resolve().parents[1] / "perfbench/pool/manifest.json"
 
 
 def invoke(capsys, *argv):
@@ -401,3 +407,76 @@ def test_too_deep_certificate_is_one_error_line(tmp_path, capsys):
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# the forms the plain parse declines: abbreviations, --opt=value, help,
+# the -- separator, values starting with -, a misplaced --json
+_TRICKY = ["--js", "--sub", "--b", "--emit-m", "--se", "--max-d", "--e",
+           "--subset=1", "--seed=2", "--json=1", "-h", "--help", "--", "-",
+           "-1", "--json"]
+# and every word of the grammar, integers and file names
+_WORDS = sorted({
+    *_COMMANDS, *(c for _, _, args in _COMMANDS.values() for _, kw in args
+                  for c in kw.get("choices", ())),
+    *(name for _, _, args in _COMMANDS.values() for name, _ in args),
+    *_TRICKY, "0", "3", "12", "1,2", "f.json", "x",
+})
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_plain_parse_gives_the_argparse_namespace(data):
+    # a command's argv in the plain form, with up to two tokens inserted,
+    # replaced or deleted; wherever the plain parse answers, argparse agrees
+    tricky = st.sampled_from(_TRICKY)
+    word = st.one_of(st.sampled_from(["0", "3", "12", "1,2", "f.json"]),
+                     tricky)
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = data.draw(st.lists(st.just("--json"), max_size=1)) + [command]
+    for name, kw in _COMMANDS[command][2]:
+        if "choices" in kw:
+            argv.append(data.draw(st.sampled_from(kw["choices"])))
+        elif kw.get("nargs") == "*":
+            argv += data.draw(st.lists(word, max_size=3))
+        elif not name.startswith("-"):
+            argv.append(data.draw(word))
+        elif data.draw(st.booleans()):  # the option or an abbreviation
+            argv.append(data.draw(st.one_of(st.just(name), st.sampled_from(
+                [name[:k] for k in range(3, len(name))]))))
+            if kw.get("action") != "store_true":
+                argv.append(data.draw(word))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(argv)))
+        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        argv[at:at + (edit != "insert")] = [] if edit == "delete" else [
+            data.draw(st.one_of(tricky, st.sampled_from(_WORDS)))]
+    ns = _plain_parse(argv)
+    if ns is not None:
+        assert vars(ns) == vars(_PARSER.parse_args(argv))
+
+
+def test_pool_argv_take_the_plain_parse():
+    # the benchmark's CLI requests all skip argparse
+    requests = json.loads(MANIFEST.read_text())["requests"]
+    forms = {tuple("f.json" if a == "{file}" else a for a in r["argv"])
+             for r in requests if "argv" in r}
+    assert forms
+    for argv in map(list, forms):
+        ns = _plain_parse(argv)
+        assert ns is not None, argv
+        assert vars(ns) == vars(_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "molecule", "F", "--sub", "4"],
+    ["check", "molecule", "F", "--subset=4"],
+    ["check", "molecule", "--subset", "4", "--", "F"],
+    ["--js", "check", "molecule", "F"],
+], ids=" ".join)
+def test_declined_argv_is_parsed_by_argparse(tmp_path, capsys, argv):
+    f = tmp_path / "d2.json"
+    f.write_text(simplex(2).to_json())
+    argv = [str(f) if a == "F" else a for a in argv]
+    assert _plain_parse(argv) is None
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"] is True
