@@ -47,6 +47,14 @@ def _subset(p: OgPoset, selector: str | None) -> ClosedSubset:
     return p.closure(items)
 
 
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        print(f"usage: {token!r} is not an integer", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def export_dot(p: OgPoset) -> str:
     """Hasse diagram in DOT, one rank per dimension, edges labelled by sign."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
@@ -200,7 +208,7 @@ def _op_subst(u: str, v: str, w: str):
 # result); the call returns the complex or a result holding it as ``whole``
 _OPS = {
     "paste": ((3,), lambda u, v, k: construct.paste(
-        _read_complex(u), _read_complex(v), int(k)),
+        _read_complex(u), _read_complex(v), _integer(k)),
         {"left": "left_incl", "right": "right_incl"}),
     "gray": ((2,), lambda u, v: construct.gray(
         _read_complex(u), _read_complex(v)), {}),
@@ -209,7 +217,7 @@ _OPS = {
     "suspend": ((1,), lambda u: construct.suspend(_read_complex(u)), {}),
     "dual": ((1, 2), lambda u, dims=None: construct.dual(
         _read_complex(u),
-        [] if dims is None else [int(s) for s in dims.split(",")]), {}),
+        [] if dims is None else [_integer(s) for s in dims.split(",")]), {}),
     "inflate": ((1,), lambda u: construct.inflate(_read_complex(u)),
                 {"tau": "tau", "iota_minus": "iota_minus",
                  "iota_plus": "iota_plus"}),

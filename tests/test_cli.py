@@ -257,6 +257,20 @@ def test_op_dual_takes_one_or_two_operands(tmp_path, capsys):
     assert err.startswith("usage: op dual takes 1 or 2 parameters, got 3")
 
 
+@pytest.mark.parametrize("operands", [["paste", "g2", "g2", "x"],
+                                      ["dual", "g2", "1,x"]],
+                         ids=lambda a: a[0])
+def test_op_with_a_malformed_integer_is_a_usage_error(tmp_path, capsys,
+                                                      operands):
+    g2 = tmp_path / "g2.json"
+    g2.write_text(globe(2).to_json())
+    verb, *rest = operands
+    code, out, err = invoke(
+        capsys, "op", verb, *(str(g2) if a == "g2" else a for a in rest))
+    assert code == 2 and not out
+    assert err == "usage: 'x' is not an integer\n"
+
+
 def test_cli_process_never_imports_numpy(tmp_path):
     # a cold process would pay ~0.1 s for numpy's import; nothing needs it,
     # not even the Smith kernel behind homology

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dircomplex import (
-    OgPoset, ClosedSubset,
+    OgPoset, ClosedSubset, PosetMap,
     is_molecule, is_atom, toplevel_decomposition, has_spherical_boundary,
     is_regular_complex, is_totally_loop_free, find_submolecule, NotAMolecule,
     composable, enumerate_molecules,
@@ -21,7 +21,7 @@ from dircomplex.cli import run
 from dircomplex.molecule import _closed_codes, _splits
 from dircomplex.ogposet import bits
 
-from test_topology import _oriented_graded_posets
+from test_topology import _oriented_graded_posets, _pool
 
 _POOL = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool"
 
@@ -569,6 +569,115 @@ def test_regularity_and_sphericity_match_their_references(p, data):
         if cert is not None:
             assert has_spherical_boundary(cert) == \
                 _spherical_by_reference(cert)
+
+
+def _invariant(p, x):
+    """What ``is_regular_complex`` files an atom under before comparing
+    shapes: its numbers of - and + faces and of closure elements per
+    dimension."""
+    cl = p.down[x]
+    return (p.faces_minus[x].bit_count(), p.faces_plus[x].bit_count(),
+            *[(cl & p.dim_mask(k)).bit_count() for k in range(p.dims[x])])
+
+
+def test_equal_shapes_are_isomorphic_closures(corpus_members):
+    # wherever one atom's verdict stands for another's, the order-preserving
+    # bijection of their closures is a map both ways, so an isomorphism
+    compared = equal = 0
+    for _, p in corpus_members + list(_pool()):
+        filed, copies = {}, {}
+        for x in range(p.size):
+            if p.dims[x]:
+                filed.setdefault(_invariant(p, x), []).append(x)
+                copies[x] = ClosedSubset(p, p.down[x]).extract()[0]
+        for xs in filed.values():
+            for i, x in enumerate(xs):
+                for y in xs[i + 1:]:
+                    compared += 1
+                    if molecule._same_shape(p, p.down[x], p.down[y]):
+                        equal += 1
+                        for a, b in ((x, y), (y, x)):
+                            PosetMap(copies[a], copies[b],
+                                     tuple(range(copies[a].size))).check()
+    assert 0 < equal < compared
+
+
+def _two_cells(*reversed_b):
+    """One component per flag: the 2-cell a, b => c over a: s -> m,
+    b: m -> t (t -> m if the flag is set) and c: s -> t."""
+    records = []
+    for rev in reversed_b:
+        s, m, t, a, b, c = range(len(records), len(records) + 6)
+        records += [(0, [], []), (0, [], []), (0, [], []), (1, [s], [m]),
+                    (1, [t], [m]) if rev else (1, [m], [t]), (1, [s], [t]),
+                    (2, [a, b], [c])]
+    return OgPoset.from_records(records)
+
+
+@pytest.mark.parametrize("reversed_b", [(False, True), (True, False)])
+def test_shapes_tell_signs_apart(reversed_b):
+    # both 2-cells are filed together and agree as unsigned posets, but only
+    # the one with b: m -> t is regular (a, b: t -> m is no molecule); the
+    # other must be checked whichever of them comes first
+    p = _two_cells(*reversed_b)
+    x, y = p.elements_of_dim(2)
+    unsigned = OgPoset(p.dims, [m | q for m, q in zip(p.faces_minus,
+                                                      p.faces_plus)],
+                       [0] * p.size)
+    assert _invariant(p, x) == _invariant(p, y)
+    assert molecule._same_shape(unsigned, p.down[x], p.down[y])
+    assert not molecule._same_shape(p, p.down[x], p.down[y])
+    assert [is_regular_complex(p.closure([z])) for z in (x, y)] == \
+        [not rev for rev in reversed_b]
+    assert not is_regular_complex(p)
+    assert not _regular_by_reference(p.whole())
+
+
+# regular bases: a copy of one of their atoms with an arrow reversed is filed
+# with the atom and agrees with it as an unsigned poset, but is no cell
+_CELLS = (simplex(2), simplex(3), cube(2), cube(3), gray(globe(1), simplex(2)))
+
+
+@st.composite
+def _with_copied_atom(draw):
+    """A random or regular poset beside a copy of one of its atoms' closures,
+    in either order, and the two tops.  The copy may have one element
+    reversed or one face moved to the other sign; else the atom and its copy
+    share a shape.
+    """
+    p = draw(st.one_of(_oriented_graded_posets(), st.sampled_from(_CELLS)))
+    x = draw(st.sampled_from([y for y in range(p.size) if p.dims[y]] or [0]))
+    sub = ClosedSubset(p, p.down[x]).extract()[0]
+    fm, fp = list(sub.faces_minus), list(sub.faces_plus)
+    e = draw(st.sampled_from([y for y in range(sub.size) if sub.dims[y]]
+                             or [0]))
+    change = draw(st.sampled_from(("none", "reverse", "move")))
+    if change == "reverse":
+        fm[e], fp[e] = fp[e], fm[e]
+    elif change == "move" and fm[e] | fp[e]:
+        f = 1 << draw(st.sampled_from(list(bits(fm[e] | fp[e]))))
+        fm[e], fp[e] = fm[e] ^ f, fp[e] ^ f
+    parts = [(p.dims, p.faces_minus, p.faces_plus, x),
+             (sub.dims, fm, fp, sub.size - 1)]
+    if draw(st.booleans()):
+        parts.reverse()
+    records, tops = [], []
+    for dims, minus, plus, top in parts:
+        o = len(records)
+        tops.append(o + top)
+        records += [(d, [o + f for f in bits(m)], [o + f for f in bits(q)])
+                    for d, m, q in zip(dims, minus, plus)]
+    order = sorted(range(len(records)), key=lambda i: records[i][0])
+    return OgPoset.from_records(records), [order.index(t) for t in tops]
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_with_copied_atom())
+def test_regularity_matches_reference_beside_a_copied_atom(drawn):
+    # the random posets of the test above seldom hold two atoms of one shape
+    q, tops = drawn
+    for u in (q.whole(), q.closure(tops)):
+        assert is_regular_complex(u) == _regular_by_reference(u)
 
 
 @settings(max_examples=300, deadline=None)
