@@ -14,6 +14,10 @@ pool's own ``--subset`` selections, this hashes:
 Every certificate must pass ``verify()``.  Two commits that print the same
 digest give byte-identical outputs on all of these.
 
+A second sha256, ``topo_sha256``, covers what the topology layer answers
+on the same complexes: ``--json topo homology``, ``euler`` and
+``cwcheck``, each with and without ``--boundary``, exit code and stdout.
+
     python scripts/output_digest.py [--src path/to/src]
 """
 
@@ -60,7 +64,7 @@ def main() -> int:
         complexes.append((f"pool/{f.name}", f.read_text(),
                           sorted(set(selections.get(f.name, [])))))
 
-    h = hashlib.sha256()
+    h, topo = hashlib.sha256(), hashlib.sha256()
     records = certs = 0
 
     def record(*parts) -> None:
@@ -68,7 +72,21 @@ def main() -> int:
         h.update(repr(parts).encode())
         records += 1
 
+    def run(argv: list[str], text: str) -> tuple[int, str]:
+        out = io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli.run(argv)
+        finally:
+            sys.stdin = stdin
+        return code, out.getvalue()
+
     for name, text, picked in complexes:
+        for verb in ("homology", "euler", "cwcheck"):
+            for flag in ([], ["--boundary"]):
+                argv = ["--json", "topo", verb, "-", *flag]
+                topo.update(repr((name, argv, *run(argv, text))).encode())
         p = dc.OgPoset.from_json(text)
         whole = p.whole()
         subsets = [whole, whole.boundary(-1), whole.boundary(+1)]
@@ -78,14 +96,7 @@ def main() -> int:
             for flag in ([], ["--json"]):
                 for kind in ("molecule", "spherical", "regular"):
                     argv = flag + ["check", kind, "-", "--subset", sel]
-                    out = io.StringIO()
-                    stdin, sys.stdin = sys.stdin, io.StringIO(text)
-                    try:
-                        with contextlib.redirect_stdout(out):
-                            code = cli.run(argv)
-                    finally:
-                        sys.stdin = stdin
-                    record(name, argv, code, out.getvalue())
+                    record(name, argv, *run(argv, text))
         q = dc.OgPoset.from_json(text)
         found = [dc.is_molecule(q.closure(u.maximal())) for u in subsets]
         for cert in filter(None, found):
@@ -110,7 +121,8 @@ def main() -> int:
                 record(name, "submolecule", v.subset.mask,
                        dc.find_submolecule(v, top))
     print(json.dumps({"complexes": len(complexes), "records": records,
-                      "certificates": certs, "sha256": h.hexdigest()}))
+                      "certificates": certs, "sha256": h.hexdigest(),
+                      "topo_sha256": topo.hexdigest()}))
     return 0
 
 

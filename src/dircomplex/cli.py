@@ -258,10 +258,7 @@ def _cmd_topo(args) -> int:
         _emit({"H": [{"betti": b, "torsion": t} for b, t in h]}, args.json)
         return 0
     if verb == "euler":
-        # a greatest element makes the nerve a cone, a point
-        cone = sub.greatest() is not None
-        _emit({"euler": 1 if cone else topology.euler(topology.nerve(sub))},
-              args.json)
+        _emit({"euler": topology.euler(sub)}, args.json)
         return 0
     rep = topology.face_poset_roundtrip(p)  # cwcheck, the last choice
     _emit(rep.to_json_obj(), args.json)

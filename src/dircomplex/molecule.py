@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .ogposet import OgPoset, ClosedSubset, bits
+from .ogposet import OgPoset, ClosedSubset, bits, _shape_twin
 
 
 class NotAMolecule(ValueError):
@@ -386,52 +386,27 @@ def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
     face of an element of M^b and a (-a)-face of none: a contradiction.
 
     Both clauses read only U, so atoms with isomorphic closures share a
-    verdict.  Atoms are filed by their numbers of - and + faces and of
-    elements of U per dimension, and one is not checked when U has the
-    shape of the first filed with it: U relabelled 0, 1, ... in index
-    order, which keeps dimensions, with each element's - and + faces
-    (``_same_shape``).  Equal shapes make the order-preserving bijection an
-    isomorphism, signs included.  Atoms with single-atom boundaries are
-    checked, which is cheaper than comparing.
+    verdict: an atom is not checked when ``_shape_twin`` finds an earlier
+    one whose closure has the shape of U, which makes the two closures
+    isomorphic.  Atoms with single-atom boundaries are checked, which is
+    cheaper than comparing.
     """
     if isinstance(p, ClosedSubset):
         p, members = p.parent, bits(p.mask)
     else:
         members = range(p.size)
-    first: dict[tuple, int] = {}  # invariant -> the first atom filed with it
+    first: dict = {}  # see _shape_twin
     for x in members:
-        d, cl = p.dims[x], p.down[x]
-        if d == 0:
+        if p.dims[x] == 0:
             continue
         m, q = p.faces_minus[x], p.faces_plus[x]
-        if m & (m - 1) or q & (q - 1):
-            key = (m.bit_count(), q.bit_count(),
-                   *[(cl & run).bit_count() for run in p._dim_masks[:d]])
-            y = first.setdefault(key, x)
-            if y != x and _same_shape(p, p.down[y], cl):
-                continue
-        bds = ClosedSubset(p, cl).boundaries()
+        if (m & (m - 1) or q & (q - 1)) and _shape_twin(p, x, first) != x:
+            continue
+        bds = ClosedSubset(p, p.down[x]).boundaries()
         minus, plus = (ClosedSubset(p, m) for m in bds[-1])
         if (is_molecule(minus) is None or is_molecule(plus) is None
                 or not _round(bds)):
             return False
-    return True
-
-
-def _same_shape(p: OgPoset, a: int, b: int) -> bool:
-    """Whether the order-preserving bijection of closed masks a and b with
-    as many elements per dimension maps faces onto faces, sign by sign."""
-    fm, fp = p.faces_minus, p.faces_plus
-    ra, rb = a & p._above[0], b & p._above[0]  # points have no faces
-    while ra:
-        i, j = (ra & -ra).bit_length() - 1, (rb & -rb).bit_length() - 1
-        for fa, fb in ((fm[i], fm[j]), (fp[i], fp[j])):
-            while fa or fb:  # a face's number counts the members below it;
-                f, g = fa & -fa, fb & -fb  # a missing one's reads len(a)
-                if (a & f - 1).bit_count() != (b & g - 1).bit_count():
-                    return False
-                fa, fb = fa ^ f, fb ^ g
-        ra, rb = ra & ra - 1, rb & rb - 1
     return True
 
 

@@ -671,3 +671,35 @@ def _match(a: ClosedSubset, b: ClosedSubset) -> Optional[list[int]]:
             used |= 1 << c
             pos += 1
     return assign
+
+
+def _shape_twin(p: OgPoset, x: int, first: dict) -> int:
+    """The first element filed in ``first`` under the invariant of x if its
+    closure has the shape of cl{x} (``_shape``), else x.  The invariant,
+    numbers of - and + faces and of closure elements per dimension, makes
+    the order-preserving bijection of equal shapes an isomorphism that
+    keeps signs.  ``first`` is one pass's; it keeps the first one's shape."""
+    cl = p.down[x]
+    key = (p.faces_minus[x].bit_count(), p.faces_plus[x].bit_count(),
+           *[(cl & run).bit_count() for run in p._dim_masks[:p.dims[x]]])
+    filed = first.setdefault(key, [x, None])
+    if filed[0] == x:
+        return x
+    if filed[1] is None:
+        filed[1] = _shape(p, p.down[filed[0]])
+    return filed[0] if _shape(p, cl) == filed[1] else x
+
+
+def _shape(p: OgPoset, a: int) -> list[int]:
+    """The closed mask a relabelled 0, 1, ... in index order: for each
+    member above dimension 0, the numbers of its - faces and then of its
+    + faces, each list closed by -1."""
+    shape = []
+    for i in bits(a & p._above[0]):
+        for faces in (p.faces_minus[i], p.faces_plus[i]):
+            while faces:  # a face's number counts the members below it
+                f = faces & -faces
+                shape.append((a & f - 1).bit_count())
+                faces ^= f
+            shape.append(-1)
+    return shape

@@ -2,7 +2,8 @@
 
 The homology of a closed subset is that of its nerve, its order complex
 of strictly increasing chains (the barycentric subdivision).
-``homology`` computes it on the smallest exact complex:
+``homology`` computes it, and ``euler`` its Euler characteristic, on the
+smallest exact complex:
 
 - a point, when the subset has a greatest element and the nerve is a cone;
 - the cellular complex (Steiner's complex), with one generator per element
@@ -15,7 +16,8 @@ of strictly increasing chains (the barycentric subdivision).
 - the nerve itself otherwise, which needs no assumption.
 
 The per-atom sphere report runs on cells as far as the induction reaches
-and on nerves above any element that is not cellular.  Nothing here
+and on nerves above any element that is not cellular.  Elements whose
+closures have the same shape share one check on cells.  Nothing here
 recognizes molecules.
 
 Homology is computed over the integers from sparse boundary maps: every
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .ogposet import OgPoset, ClosedSubset, bits
+from .ogposet import OgPoset, ClosedSubset, bits, _shape_twin
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,22 @@ def homology(k: Union[SimplicialComplex, ChainComplex, OgPoset,
             for d, n in enumerate(cc.counts)]
 
 
-def euler(k: SimplicialComplex) -> int:
-    return sum((-1) ** d * c for d, c in enumerate(k.counts()))
+def euler(k: Union[SimplicialComplex, OgPoset, ClosedSubset]) -> int:
+    """Euler characteristic of a simplicial complex, or of the nerve of a
+    poset or closed subset: 1 when it has a greatest element, the
+    alternating count of its elements when every member is cellular, since
+    Steiner's complex then has the nerve's homology, else the nerve's."""
+    if isinstance(k, SimplicialComplex):
+        return sum((-1) ** d * c for d, c in enumerate(k.counts()))
+    u = k.whole() if isinstance(k, OgPoset) else k
+    if u.greatest() is not None:
+        return 1
+    total = 0
+    for x, _, cellular, _ in _cell_pass(u.parent, u.mask):
+        if not cellular:
+            return euler(nerve(u))
+        total += (-1) ** u.parent.dims[x]
+    return total
 
 
 def sphere_signature(n: int) -> list[tuple[int, list[int]]]:
@@ -304,9 +320,19 @@ def _cell_pass(p: OgPoset, mask: int
     column is Steiner's ``dx = x+ - x-`` keyed by element index, which
     ``homology`` reads only as labels: the pass builds the complexes of
     boundaries from these columns, and ``homology`` that of the mask.
+
+    An element x of dimension >= 2 with everything below it cellular takes
+    the ``(sphere, dd = 0)`` verdict of ``_shape_twin``, the first such
+    element filed under its invariant, when their closures have one shape.
+    Both verdicts read ``cl{x}`` alone, the isomorphism of the closures
+    keeps signs, and cellularity is read off a closure too, so the twin was
+    checked on cells and its verdict is the one x would get.  ``simplex(n)``
+    and ``cube(n)`` have one closure shape per dimension.
     """
     fp, fm, down, dims = p.faces_plus, p.faces_minus, p.down, p.dims
     cols: dict[int, dict[int, int]] = {}
+    verdicts: dict[int, tuple[bool, bool]] = {}  # (sphere, dd = 0) by x
+    first: dict = {}  # see _shape_twin
     cellular = 0
     for x in bits(mask):
         d = dims[x]
@@ -320,20 +346,20 @@ def _cell_pass(p: OgPoset, mask: int
                       and euler(k) == 1 + (-1) ** (d - 1)), False, col
             continue
         if d <= 1:
-            # the (-1)-sphere is empty, the 0-sphere two points
+            # the (-1)-sphere is empty, the 0-sphere two points; on reduced
+            # chains every vertex has boundary 1
             sphere = below.bit_count() == 2 * d
+            verdict = sphere, sphere and sum(col.values()) == 0
         else:
-            levels: list[list[dict[int, int]]] = [[] for _ in range(d)]
-            for y in bits(below):
-                levels[dims[y]].append(cols[y])
-            h = homology(ChainComplex([len(lv) for lv in levels], levels))
-            sphere = _matches(h, sphere_signature(d - 1))
-        if not sphere:
-            yield x, False, False, col
-            continue
-        # on reduced chains every vertex has boundary 1
-        dd_zero = (sum(col.values()) == 0 if d == 1
-                   else _dd_zero(col, cols))
-        if dd_zero:
+            twin = _shape_twin(p, x, first)
+            if twin == x:
+                levels: list[list[dict[int, int]]] = [[] for _ in range(d)]
+                for y in bits(below):
+                    levels[dims[y]].append(cols[y])
+                h = homology(ChainComplex([len(lv) for lv in levels], levels))
+                sphere = _matches(h, sphere_signature(d - 1))
+                verdicts[x] = sphere, sphere and _dd_zero(col, cols)
+            verdict = verdicts[twin]
+        if verdict[1]:
             cellular |= bit
-        yield x, True, dd_zero, col
+        yield (x, *verdict, col)

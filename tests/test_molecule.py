@@ -19,9 +19,9 @@ from dircomplex import (
 from dircomplex import molecule
 from dircomplex.cli import run
 from dircomplex.molecule import _closed_codes, _splits
-from dircomplex.ogposet import bits
+from dircomplex.ogposet import bits, _shape
 
-from test_topology import _oriented_graded_posets, _pool
+from test_topology import _oriented_graded_posets, _pool, _with_copied_atom
 
 _POOL = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool"
 
@@ -572,7 +572,7 @@ def test_regularity_and_sphericity_match_their_references(p, data):
 
 
 def _invariant(p, x):
-    """What ``is_regular_complex`` files an atom under before comparing
+    """What ``_shape_twin`` files an element under before comparing
     shapes: its numbers of - and + faces and of closure elements per
     dimension."""
     cl = p.down[x]
@@ -594,7 +594,7 @@ def test_equal_shapes_are_isomorphic_closures(corpus_members):
             for i, x in enumerate(xs):
                 for y in xs[i + 1:]:
                     compared += 1
-                    if molecule._same_shape(p, p.down[x], p.down[y]):
+                    if _shape(p, p.down[x]) == _shape(p, p.down[y]):
                         equal += 1
                         for a, b in ((x, y), (y, x)):
                             PosetMap(copies[a], copies[b],
@@ -625,50 +625,12 @@ def test_shapes_tell_signs_apart(reversed_b):
                                                       p.faces_plus)],
                        [0] * p.size)
     assert _invariant(p, x) == _invariant(p, y)
-    assert molecule._same_shape(unsigned, p.down[x], p.down[y])
-    assert not molecule._same_shape(p, p.down[x], p.down[y])
+    assert _shape(unsigned, p.down[x]) == _shape(unsigned, p.down[y])
+    assert _shape(p, p.down[x]) != _shape(p, p.down[y])
     assert [is_regular_complex(p.closure([z])) for z in (x, y)] == \
         [not rev for rev in reversed_b]
     assert not is_regular_complex(p)
     assert not _regular_by_reference(p.whole())
-
-
-# regular bases: a copy of one of their atoms with an arrow reversed is filed
-# with the atom and agrees with it as an unsigned poset, but is no cell
-_CELLS = (simplex(2), simplex(3), cube(2), cube(3), gray(globe(1), simplex(2)))
-
-
-@st.composite
-def _with_copied_atom(draw):
-    """A random or regular poset beside a copy of one of its atoms' closures,
-    in either order, and the two tops.  The copy may have one element
-    reversed or one face moved to the other sign; else the atom and its copy
-    share a shape.
-    """
-    p = draw(st.one_of(_oriented_graded_posets(), st.sampled_from(_CELLS)))
-    x = draw(st.sampled_from([y for y in range(p.size) if p.dims[y]] or [0]))
-    sub = ClosedSubset(p, p.down[x]).extract()[0]
-    fm, fp = list(sub.faces_minus), list(sub.faces_plus)
-    e = draw(st.sampled_from([y for y in range(sub.size) if sub.dims[y]]
-                             or [0]))
-    change = draw(st.sampled_from(("none", "reverse", "move")))
-    if change == "reverse":
-        fm[e], fp[e] = fp[e], fm[e]
-    elif change == "move" and fm[e] | fp[e]:
-        f = 1 << draw(st.sampled_from(list(bits(fm[e] | fp[e]))))
-        fm[e], fp[e] = fm[e] ^ f, fp[e] ^ f
-    parts = [(p.dims, p.faces_minus, p.faces_plus, x),
-             (sub.dims, fm, fp, sub.size - 1)]
-    if draw(st.booleans()):
-        parts.reverse()
-    records, tops = [], []
-    for dims, minus, plus, top in parts:
-        o = len(records)
-        tops.append(o + top)
-        records += [(d, [o + f for f in bits(m)], [o + f for f in bits(q)])
-                    for d, m, q in zip(dims, minus, plus)]
-    order = sorted(range(len(records)), key=lambda i: records[i][0])
-    return OgPoset.from_records(records), [order.index(t) for t in tops]
 
 
 @settings(max_examples=400, deadline=None)

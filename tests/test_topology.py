@@ -1,13 +1,15 @@
 from dircomplex import (
     OgPoset, ClosedSubset,
     nerve, homology, euler, face_poset_roundtrip,
-    globe, simplex, cube, globe_tau, is_regular_complex, paste,
+    globe, simplex, cube, globe_tau, gray, is_regular_complex, paste,
 )
 from dircomplex.topology import (
     ChainComplex, SimplicialComplex, chain_complex, _smith_diagonal,
-    sphere_signature, ball_signature, _matches, _cell_pass,
+    sphere_signature, ball_signature, _matches, _cell_pass, _dd_zero,
 )
+from dircomplex.ogposet import bits
 from hypothesis import given, settings, strategies as st
+import pytest
 from math import gcd
 import itertools
 import json
@@ -388,6 +390,7 @@ def _agrees_with_nerve(u: ClosedSubset) -> None:
     q = u.extract()[0]
     assert face_poset_roundtrip(q).failures == _nerve_failures(q), q.to_json()
     assert homology(u) == homology(nerve(u)), q.to_json()
+    assert euler(u) == euler(nerve(u)), q.to_json()
 
 
 # a 2-cell whose boundary is a circle, two parallel arrows, both of them
@@ -467,6 +470,123 @@ def _oriented_graded_posets(draw):
             fp.append(plus)
         below = here
     return OgPoset(dims, fm, fp)
+
+
+# regular bases: a copy of one of their atoms with an arrow reversed is filed
+# with the atom and agrees with it as an unsigned poset, but is no cell
+_CELLS = (simplex(2), simplex(3), cube(2), cube(3), gray(globe(1), simplex(2)))
+
+
+@st.composite
+def _with_copied_atom(draw):
+    """A random or regular poset beside a copy of one of its atoms' closures,
+    in either order, and the two tops.  The copy may have one element
+    reversed, one face moved to the other sign or to another element of its
+    dimension, or a - face and a + face of one element swapped, which keeps
+    the invariant it is filed under and its unsigned shape; else the atom
+    and its copy share a shape.
+    """
+    p = draw(st.one_of(_oriented_graded_posets(), st.sampled_from(_CELLS)))
+    x = draw(st.sampled_from([y for y in range(p.size) if p.dims[y]] or [0]))
+    sub = ClosedSubset(p, p.down[x]).extract()[0]
+    fm, fp = list(sub.faces_minus), list(sub.faces_plus)
+    e = draw(st.sampled_from([y for y in range(sub.size) if sub.dims[y]]
+                             or [0]))
+    change = draw(st.sampled_from(("none", "reverse", "move", "rewire",
+                                   "swap")))
+    faces = fm[e] | fp[e]
+    others = [g for g in range(sub.size)
+              if sub.dims[g] == sub.dims[e] - 1 and not faces >> g & 1]
+    if change == "reverse":
+        fm[e], fp[e] = fp[e], fm[e]
+    elif change == "move" and faces:
+        f = 1 << draw(st.sampled_from(list(bits(faces))))
+        fm[e], fp[e] = fm[e] ^ f, fp[e] ^ f
+    elif change == "rewire" and faces and others:
+        f = 1 << draw(st.sampled_from(list(bits(faces))))
+        g = 1 << draw(st.sampled_from(others))
+        if fm[e] & f:
+            fm[e] ^= f | g
+        else:
+            fp[e] ^= f | g
+    elif change == "swap" and fm[e] and fp[e]:
+        f = 1 << draw(st.sampled_from(list(bits(fm[e]))))
+        g = 1 << draw(st.sampled_from(list(bits(fp[e]))))
+        fm[e], fp[e] = fm[e] ^ f | g, fp[e] ^ g | f
+    parts = [(p.dims, p.faces_minus, p.faces_plus, x),
+             (sub.dims, fm, fp, sub.size - 1)]
+    if draw(st.booleans()):
+        parts.reverse()
+    records, tops = [], []
+    for dims, minus, plus, top in parts:
+        o = len(records)
+        tops.append(o + top)
+        records += [(d, [o + f for f in bits(m)], [o + f for f in bits(q)])
+                    for d, m, q in zip(dims, minus, plus)]
+    order = sorted(range(len(records)), key=lambda i: records[i][0])
+    return OgPoset.from_records(records), [order.index(t) for t in tops]
+
+
+def _cellular_by_reference(p: OgPoset) -> list[bool]:
+    """Every element checked on its own: its boundary on the nerve, dd = 0
+    on Steiner's columns, and everything below it."""
+    cols = [{**dict.fromkeys(bits(q), 1), **dict.fromkeys(bits(m), -1)}
+            for m, q in zip(p.faces_minus, p.faces_plus)]
+    failures, cellular = _nerve_failures(p), []
+    for x, col in enumerate(cols):
+        dd_zero = (_dd_zero(col, cols) if p.dims[x] != 1
+                   else sum(col.values()) == 0)
+        cellular.append(x not in failures and dd_zero and all(
+            cellular[y] for y in bits(p.down[x] ^ 1 << x)))
+    return cellular
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_with_copied_atom())
+def test_shared_verdicts_match_nerve_beside_a_copied_atom(drawn):
+    # the copy is filed with the atom it copies, and may take its verdict
+    # only where their closures agree sign by sign
+    q, _ = drawn
+    assert [cell for _, _, cell, _ in _cell_pass(q, q.all_mask)] == \
+        _cellular_by_reference(q), q.to_json()
+    _agrees_with_nerve(q.whole())
+    for x in range(q.size):
+        _agrees_with_nerve(ClosedSubset(q, q.down[x]).boundary())
+
+
+# a 2-cell a, b => c over a: s -> m, b: m -> t and c: s -> t; beside it, the
+# same circle with b reversed, filled by the 2-cell c, b => a and by a, b => c.
+# The last has the first one's invariant and unsigned shape, but it is no
+# cell: sharing its verdict would read a 2-sphere off cells that break dd = 0
+TWO_CELL_AND_SPHERE = OgPoset.from_records(
+    [(0, [], [])] * 6
+    + [(1, [0], [1]), (1, [1], [2]), (1, [0], [2]),
+       (1, [3], [4]), (1, [5], [4]), (1, [3], [5]),
+       (2, [6, 7], [8]), (2, [11, 10], [9]), (2, [9, 10], [11])])
+
+
+def test_shared_verdicts_tell_signs_apart():
+    p = TWO_CELL_AND_SPHERE
+    assert [t[:3] for t in _cell_pass(p, p.all_mask)][-3:] == \
+        [(12, True, True), (13, True, True), (14, True, False)]
+    assert homology(p) == homology(nerve(p)) == [(2, []), (0, []), (1, [])]
+    assert euler(p) == euler(nerve(p)) == 3
+    _agrees_with_nerve(p.whole())
+
+
+@pytest.mark.parametrize("shape", [simplex(6), cube(5)])
+def test_one_boundary_homology_per_dimension(monkeypatch, shape):
+    # simplices and cubes have one closure shape per dimension
+    from dircomplex import topology
+    calls = []
+    _spy(monkeypatch, topology, "homology", calls)
+    _spy(monkeypatch, topology, "nerve", calls)
+    assert face_poset_roundtrip(shape).ok
+    assert calls == ["homology"] * (shape.dim - 1)
+    calls.clear()
+    # and their boundaries are counted on cells
+    assert euler(shape.whole().boundary()) == 1 + (-1) ** (shape.dim - 1)
+    assert calls == ["homology"] * (shape.dim - 2)
 
 
 @settings(max_examples=200, deadline=None)
