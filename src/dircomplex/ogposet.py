@@ -389,7 +389,9 @@ class ClosedSubset:
         covered_m, covered_p, rest = _boundary_step(p, mask, n)
         keep = (~(covered_m & covered_p) if sign is None
                 else ~covered_m if sign == +1
-                else ~covered_p if sign == -1 else 0)
+                else ~covered_p if sign == -1 else None)
+        if keep is None:
+            raise ValueError(f"sign must be None, -1 or +1, got {sign!r}")
         return ClosedSubset(
             p, p.closure_mask(mask & p._dim_masks[n] & keep) | rest)
 

@@ -51,6 +51,8 @@ def globe(n: int) -> OgPoset:
 
 def globe_tau(n: int, k: int) -> PosetMap:
     """The unique surjection collapsing the n-globe onto the k-globe."""
+    if not 0 <= k <= n:
+        raise ValueError(f"globe_tau needs k in 0..{n}, got k = {k}")
     assign = []
     for j in range(n):
         for s in (-1, +1):
@@ -62,6 +64,8 @@ def globe_tau(n: int, k: int) -> PosetMap:
 
 def globe_incl(n: int, k: int, sign: int) -> PosetMap:
     """The k-globe as the sign-pole closure inside the n-globe."""
+    if not 0 <= k <= n:
+        raise ValueError(f"globe_incl needs k in 0..{n}, got k = {k}")
     assign = [globe_element(n, j, s)
               for j in range(k) for s in (-1, +1)]
     assign.append(globe_element(n, k, sign))

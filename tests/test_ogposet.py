@@ -91,6 +91,13 @@ def test_boundary_globe2():
     assert w.boundary(+1, 2).mask == w.mask  # at or above the dimension
 
 
+@pytest.mark.parametrize("sign", [0, 2, "+"])
+def test_boundary_refuses_other_signs(sign):
+    # each of these used to give only the ungenerated rest, here nothing
+    with pytest.raises(ValueError, match=r"sign must be None, -1 or \+1"):
+        globe(2).whole().boundary(sign)
+
+
 def test_boundary_simplex2_parity():
     # the input 1-boundary of the triangle is the long edge's closure
     d2 = simplex(2)

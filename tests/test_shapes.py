@@ -37,6 +37,20 @@ def test_negative_globe_and_cube_are_refused(family):
         family(-1)
 
 
+def test_globe_maps_refuse_k_outside_0_to_n():
+    # globe_tau(1, 3) used to be no map, globe_incl(1, 3, +1) an index error
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=r"globe_tau needs k in 0\.\.1"):
+            globe_tau(1, k)
+        with pytest.raises(ValueError, match=r"globe_incl needs k in 0\.\.1"):
+            globe_incl(1, k, +1)
+    for n in range(4):
+        for k in range(n + 1):
+            assert globe_tau(n, k).is_valid()
+            assert globe_incl(n, k, -1).is_valid()
+            assert globe_incl(n, k, +1).is_valid()
+
+
 def test_negative_simplex_is_empty():
     assert simplex(-1).size == 0
 

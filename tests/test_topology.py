@@ -584,9 +584,24 @@ def test_one_boundary_homology_per_dimension(monkeypatch, shape):
     assert face_poset_roundtrip(shape).ok
     assert calls == ["homology"] * (shape.dim - 1)
     calls.clear()
-    # and their boundaries are counted on cells
+    # and the Euler characteristics of their boundaries need no complex
     assert euler(shape.whole().boundary()) == 1 + (-1) ** (shape.dim - 1)
-    assert calls == ["homology"] * (shape.dim - 2)
+    assert calls == []
+
+
+def test_euler_beside_a_non_cellular_atom_needs_no_complex(monkeypatch):
+    # the 2-cell is not cellular, so euler used to count the whole nerve of
+    # simplex(6) beside it
+    from dircomplex import topology
+    from dircomplex.construct import amalgamate
+    p = amalgamate(simplex(6), PARALLEL_INPUT, {})[0]
+    bd = p.whole().boundary()
+    assert (euler(nerve(p)), euler(nerve(bd))) == (2, 1)
+    calls = []
+    for name in ("nerve", "homology", "_cell_pass"):
+        _spy(monkeypatch, topology, name, calls)
+    assert (euler(p), euler(bd)) == (2, 1)
+    assert calls == []
 
 
 @settings(max_examples=200, deadline=None)
