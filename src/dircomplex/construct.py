@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ogposet import (
     OgPoset, ClosedSubset, PosetMap, bits, _match,
@@ -313,9 +314,16 @@ def _product_boundary(u_rows, v_rows, idx, k: int, sign: int) -> int:
 def gray_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
     """bd^sign_k(u (x) v) is the union over i of bd^sign_i u (x)
     bd^(sign (-1)^i)_(k-i) v, also when a factor is empty."""
+    whole, *rows = _gray_check_parts(u, v)
+    return whole.boundary(sign, k).mask == _product_boundary(*rows, k, sign)
+
+
+@lru_cache(maxsize=1)
+def _gray_check_parts(u: OgPoset, v: OgPoset):
+    """The validated product, both factors' rows and the pair index: what
+    the Gray check of the ordered pair (u, v) needs for every (k, sign)."""
     prod, idx = gray_with_index(u, v)
-    return prod.whole().boundary(sign, k).mask == _product_boundary(
-        _factor_rows(u), _factor_rows(v), idx, k, sign)
+    return prod.whole(), _factor_rows(u), _factor_rows(v), idx
 
 
 def join_with_index(p: OgPoset, q: OgPoset
@@ -352,12 +360,20 @@ def join_boundary_check(u: OgPoset, v: OgPoset, k: int, sign: int) -> bool:
     {-1} when the factor is empty; for i >= 1 its bd_i is {-1} with
     bd_(i-1) of the factor.  An empty factor needs no case of its own.
     """
+    whole, *rows = _join_check_parts(u, v)
+    return whole.boundary(sign, k).mask == _product_boundary(
+        *rows, k + 1, sign)
+
+
+@lru_cache(maxsize=1)
+def _join_check_parts(u: OgPoset, v: OgPoset):
+    """``_gray_check_parts`` for the join: the validated join, the rows of
+    both bottomed factors and the pair index."""
     prod, idx = join_with_index(u, v)
     rows = [[([-1] if not p.size else [], [-1])]
             + [([-1] + m, [-1] + pl) for m, pl in _factor_rows(p)]
             for p in (u, v)]
-    return prod.whole().boundary(sign, k).mask == _product_boundary(
-        *rows, idx, k + 1, sign)
+    return prod.whole(), *rows, idx
 
 
 def suspend(p: OgPoset) -> OgPoset:

@@ -380,6 +380,8 @@ class ClosedSubset:
         belongs to either boundary, and the boundary is the closure of both.
         """
         p, mask, dim = self.parent, self.mask, self.dim
+        if sign not in (None, -1, +1):
+            raise ValueError(f"sign must be None, -1 or +1, got {sign!r}")
         if n is None:
             n = dim - 1
         if n >= dim:
@@ -388,10 +390,7 @@ class ClosedSubset:
             return ClosedSubset(p, 0)
         covered_m, covered_p, rest = _boundary_step(p, mask, n)
         keep = (~(covered_m & covered_p) if sign is None
-                else ~covered_m if sign == +1
-                else ~covered_p if sign == -1 else None)
-        if keep is None:
-            raise ValueError(f"sign must be None, -1 or +1, got {sign!r}")
+                else ~covered_m if sign == +1 else ~covered_p)
         return ClosedSubset(
             p, p.closure_mask(mask & p._dim_masks[n] & keep) | rest)
 

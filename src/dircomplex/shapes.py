@@ -66,6 +66,8 @@ def globe_incl(n: int, k: int, sign: int) -> PosetMap:
     """The k-globe as the sign-pole closure inside the n-globe."""
     if not 0 <= k <= n:
         raise ValueError(f"globe_incl needs k in 0..{n}, got k = {k}")
+    if sign not in (-1, +1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     assign = [globe_element(n, j, s)
               for j in range(k) for s in (-1, +1)]
     assign.append(globe_element(n, k, sign))

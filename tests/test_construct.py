@@ -2,6 +2,8 @@ import hashlib
 import inspect
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -383,10 +385,111 @@ def test_boundary_checks_fail_on_an_untwisted_product(monkeypatch):
     untwisted = {}
     exec(src.replace(twist, "qf = q_faces"), vars(construct), untwisted)
     monkeypatch.setattr(construct, "_gray_tables", untwisted["_gray_tables"])
-    g = globe(1)
-    cases = [(k, s) for k in range(4) for s in (-1, +1)]
-    assert not all(gray_boundary_check(g, g, k, s) for k, s in cases)
-    assert not all(join_boundary_check(g, g, k, s) for k, s in cases)
+    # a product memoized from the real tables must not hide the mutation,
+    # and an untwisted one must not outlive it
+    _clear_check_memos()
+    try:
+        g = globe(1)
+        cases = [(k, s) for k in range(4) for s in (-1, +1)]
+        assert not all(gray_boundary_check(g, g, k, s) for k, s in cases)
+        assert not all(join_boundary_check(g, g, k, s) for k, s in cases)
+    finally:
+        _clear_check_memos()
+
+
+def _clear_check_memos():
+    construct._gray_check_parts.cache_clear()
+    construct._join_check_parts.cache_clear()
+
+
+_CHECK_SHAPES = [EMPTY, POINT, globe(1), globe(2), simplex(1), simplex(2),
+                 cube(2), paste(globe(1), globe(1), 0).whole]
+
+
+def _fresh_verdicts(u, v):
+    """Every (k, sign) verdict of both checks, from products built anew."""
+    out = []
+    for parts, shift, extra in ((construct._gray_check_parts, 0, 1),
+                                (construct._join_check_parts, 1, 2)):
+        whole, u_rows, v_rows, idx = parts.__wrapped__(u, v)
+        out.append([whole.boundary(s, k).mask == construct._product_boundary(
+                        u_rows, v_rows, idx, k + shift, s)
+                    for k in range(u.dim + v.dim + extra) for s in (-1, +1)])
+    return out
+
+
+def _memo_verdicts(u, v):
+    return [[check(u, v, k, s)
+             for k in range(u.dim + v.dim + extra) for s in (-1, +1)]
+            for check, extra in ((gray_boundary_check, 1),
+                                 (join_boundary_check, 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CHECK_SHAPES), st.sampled_from(_CHECK_SHAPES))
+def test_memoized_checks_match_fresh_products(u, v):
+    # (u, v), (v, u), (u, v): a memo keyed without order answers the middle
+    # call, or the last, from the other pair's product and index
+    for a, b in ((u, v), (v, u), (u, v)):
+        assert _memo_verdicts(a, b) == _fresh_verdicts(a, b)
+        for parts, build in ((construct._gray_check_parts, gray_with_index),
+                             (construct._join_check_parts, join_with_index)):
+            whole, *_, idx = parts(a, b)
+            assert (whole.parent, idx) == build(a, b)
+
+
+def test_checks_build_each_product_once_per_pair(monkeypatch):
+    calls = {"gray_with_index": 0, "join_with_index": 0}
+
+    def spy(name):
+        real = getattr(construct, name)
+
+        def counted(p, q):
+            calls[name] += 1
+            return real(p, q)
+        monkeypatch.setattr(construct, name, counted)
+
+    spy("gray_with_index")
+    spy("join_with_index")
+    _clear_check_memos()
+    try:
+        for u, v in ((globe(2), simplex(1)), (simplex(1), globe(2))):
+            for k in range(u.dim + v.dim + 2):
+                for s in (-1, +1):
+                    assert gray_boundary_check(u, v, k, s)
+                    assert join_boundary_check(u, v, k, s)
+        assert calls == {"gray_with_index": 2, "join_with_index": 2}
+    finally:
+        _clear_check_memos()
+
+
+def test_checks_hold_under_threads_sharing_the_memo():
+    # four threads alternate pairs through the one-pair memos; a product
+    # filed under the wrong pair would fail a check or miss an index key
+    pairs = [(globe(2), simplex(1)), (simplex(1), globe(2)),
+             (cube(2), globe(1)), (POINT, simplex(2))]
+    verdicts = []
+
+    def work(shift):
+        for u, v in (pairs[shift:] + pairs[:shift]) * 3:
+            verdicts.append(all(
+                check(u, v, k, s)
+                for check in (gray_boundary_check, join_boundary_check)
+                for k in range(u.dim + v.dim + 2) for s in (-1, +1)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+        _clear_check_memos()
+    assert verdicts == [True] * 48
 
 
 def test_join_op_swap():

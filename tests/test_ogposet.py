@@ -93,9 +93,12 @@ def test_boundary_globe2():
 
 @pytest.mark.parametrize("sign", [0, 2, "+"])
 def test_boundary_refuses_other_signs(sign):
-    # each of these used to give only the ungenerated rest, here nothing
-    with pytest.raises(ValueError, match=r"sign must be None, -1 or \+1"):
-        globe(2).whole().boundary(sign)
+    # each of these used to give only the ungenerated rest, here nothing;
+    # n outside 0..dim-1 used to return before the sign was read
+    w = globe(2).whole()
+    for n in (None, *range(-1, w.dim + 2)):
+        with pytest.raises(ValueError, match=r"sign must be None, -1 or \+1"):
+            w.boundary(sign, n)
 
 
 def test_boundary_simplex2_parity():

@@ -51,6 +51,14 @@ def test_globe_maps_refuse_k_outside_0_to_n():
             assert globe_incl(n, k, +1).is_valid()
 
 
+@pytest.mark.parametrize("sign", [0, 7])
+def test_globe_incl_refuses_other_signs(sign):
+    # 0 used to read as -1 and 7 as +1; the top (k = n) ignored the sign
+    for n, k in ((2, 1), (2, 2), (0, 0)):
+        with pytest.raises(ValueError, match=r"sign must be -1 or \+1"):
+            globe_incl(n, k, sign)
+
+
 def test_negative_simplex_is_empty():
     assert simplex(-1).size == 0
 
