@@ -63,7 +63,8 @@ class MoleculeCert:
                     return False
                 continue
             l, r = left.mask, right.mask
-            if (l == mask or r == mask or l | r != mask
+            if (type(node.k) is not int or l == mask or r == mask
+                    or l | r != mask
                     or not composable(left.subset, right.subset, node.k)):
                 return False
             for part in (left, right):
@@ -133,9 +134,30 @@ class MoleculeCert:
 # the longest node text that MoleculeCert.to_json keeps for reuse
 _KEPT_TEXT = 8192
 
+_SLOT_WRITES = tuple(MoleculeCert.__dict__[f].__set__
+                     for f in ("parent", "mask", "left", "right", "k"))
 
-def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
-    """Every closed left part, as codes ascending, but 0 and the full code.
+
+def _node(parent: OgPoset, mask: int, left: Optional[MoleculeCert] = None,
+          right: Optional[MoleculeCert] = None, k: Optional[int] = None
+          ) -> MoleculeCert:
+    """``MoleculeCert(parent, mask, left, right, k)``, its slots written
+    directly: the same frozen object, built in a third of the time that
+    the frozen ``__init__`` takes to guard each write."""
+    node = object.__new__(MoleculeCert)
+    w_parent, w_mask, w_left, w_right, w_k = _SLOT_WRITES
+    w_parent(node, parent)
+    w_mask(node, mask)
+    w_left(node, left)
+    w_right(node, right)
+    w_k(node, k)
+    return node
+
+
+def _next_code(downs: list[int], reach: list[int], rows: list[int],
+               code: int) -> int:
+    """The closed left part after code in ascending order; 0 when only the
+    full code is left.
 
     Bit i of a code puts top i on the left, and top i on the left forces
     top j there too when ``downs[j]`` meets ``reach[i]``; a code is closed
@@ -143,58 +165,65 @@ def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
     basic algorithms in concept analysis", 1984) steps from one closed code
     to the next in ascending order, least significant bit first: the next
     code is the closure of the current code's bits above some bit i, plus
-    bit i, for the least i whose closure adds no higher bit.  Closures
-    follow the forcing rows outward and stop at the first higher bit, and
-    each row is built on first use, so the first code, which recognition
-    nearly always keeps, reads a few rows instead of all t of them; a bit i
-    whose ``reach`` meets the ``downs`` of a higher bit the code lacks is
-    passed over without one.
+    bit i, for the least i whose closure adds no higher bit.  After code 0
+    that is the closure of {i} for the least i that forces no top above i.
+    Closures follow the forcing rows outward and stop at the first higher
+    bit.  ``rows[j]``, the tops that top j forces, is -1 until it is built
+    on first use, so the first code, which recognition nearly always
+    keeps, reads a few rows instead of all t of them; and one pass from the
+    top passes over, without a row, every bit i whose ``reach`` meets the
+    ``downs`` of a higher bit the code lacks.
     """
     t = len(downs)
-    rows = [-1] * t  # the tops that top j forces, -1 until built
-    full = (1 << t) - 1
-    code = 0
-    while True:
-        lacked, union = [0] * t, 0  # lacked[i]: downs of the lacks above i
-        for j in range(t - 1, 0, -1):
-            if not code >> j & 1:
-                union |= downs[j]
-            lacked[j - 1] = union
-        for i in range(t):
-            bit = 1 << i
-            if not code & bit and not reach[i] & lacked[i]:
-                above = -(bit << 1)
-                lacks = above & ~code  # bit i may force none of these
-                closed = todo = code & above | bit
-                while todo:
-                    j = todo.bit_length() - 1
-                    todo ^= 1 << j
-                    row = rows[j]
-                    if row < 0:
-                        row = 0
-                        r = reach[j]
-                        b = 1
-                        for d in downs:
-                            if d & r:
-                                row |= b
-                            b <<= 1
-                        rows[j] = row
-                    todo |= row & ~closed
-                    closed |= row
-                    if closed & lacks:
-                        break
-                else:
-                    code = closed
-                    break
+    tried = union = 0  # the bits worth a closure; the downs of lacks above j
+    for j in range(t - 1, -1, -1):
+        bit = 1 << j
+        if not code & bit:
+            if not reach[j] & union:
+                tried |= bit
+            union |= downs[j]
+    while tried:
+        bit = tried & -tried
+        tried ^= bit
+        above = -(bit << 1)
+        lacks = above & ~code  # bit i may force none of these
+        closed = todo = code & above | bit
+        while todo:
+            j = todo.bit_length() - 1
+            todo ^= 1 << j
+            row = rows[j]
+            if row < 0:
+                row = 0
+                r = reach[j]
+                b = 1
+                for d in downs:
+                    if d & r:
+                        row |= b
+                    b <<= 1
+                rows[j] = row
+            todo |= row & ~closed
+            closed |= row
+            if closed & lacks:
+                break
         else:
-            return
-        if code == full:
-            return
+            return 0 if closed == (1 << t) - 1 else closed
+    return 0
+
+
+def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
+    """Every closed left part, as codes ascending, but 0 and the full code:
+    ``_next_code`` from 0 on, over one table of forcing rows."""
+    rows = [-1] * len(downs)
+    code = 0
+    while code := _next_code(downs, reach, rows, code):
         yield code
 
 
-def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
-    """Yield the binary pastings ``(left mask, right mask, k)`` of mask.
+def _split_after(p: OgPoset, mask: int, k: Optional[int] = None,
+                 code: int = 0) -> Optional[tuple[int, int, int, int]]:
+    """The first binary pasting of mask after the candidate ``(k, code)``,
+    as ``(left mask, right mask, k, code)``, or None; k None starts at the
+    beginning.
 
     Deterministic: gluing dimension k runs downward from one below the
     second-highest dimension of a maximal element (above it, fewer than two
@@ -202,7 +231,7 @@ def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
     are bipartitioned.  Everything two tops a, b share must land in the
     gluing interface, so with a on the left, b must go left too when cl{b}
     meets the ``reach`` mask of a (``OgPoset._split_row``); the left parts
-    closed under that relation are walked by ``_closed_codes`` in ascending
+    closed under that relation are walked by ``_next_code`` in ascending
     bitmask order, which is the order of a scan over all 2^t bipartitions,
     building only the forcing rows the walk reaches.  Given a bipartition,
     the interface is forced: its dim-k elements are those with no - coface
@@ -226,34 +255,78 @@ def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
         maximals.append(x)
         rest &= ~down[x]
     if len(maximals) < 2:
-        return
+        return None
     maximals.reverse()
-    for k in range(dims[maximals[-2]] - 1, -1, -1):
+    if k is None:
+        k = dims[maximals[-2]] - 1
+    while k >= 0:
         downs, reach, tops = [], [], []
         for x in maximals:
             if dims[x] > k:
-                not_in, not_out, r = (table[x] or p._split_row(x))[k]
-                cl = down[x]
-                downs.append(cl)
-                reach.append(r)
-                tops.append((cl, not_in, not_out))
+                entry = (table[x] or p._split_row(x))[k]
+                downs.append(down[x])
+                reach.append(entry[2])
+                tops.append(entry)
+        rows = [-1] * len(downs)
         dim_k = mask & p._dim_masks[k]
-        for code in _closed_codes(downs, reach):
+        while code := _next_code(downs, reach, rows, code):
             a_mask = b_mask = blocked = 0
-            for cl, not_in, not_out in tops:
-                if code & 1:
+            left = code
+            for cl, (not_in, not_out, _) in zip(downs, tops):
+                if left & 1:
                     a_mask |= cl
                     blocked |= not_out
                 else:
                     b_mask |= cl
                     blocked |= not_in
-                code >>= 1
+                left >>= 1
             inter = p.closure_mask(dim_k & ~blocked) | mask & ~a_mask & ~b_mask
             lmask = a_mask | inter
             rmask = b_mask | inter
-            if lmask == mask or rmask == mask or lmask & rmask != inter:
-                continue
-            yield lmask, rmask, k
+            if lmask != mask and rmask != mask and lmask & rmask == inter:
+                return lmask, rmask, k, code
+        k -= 1
+    return None
+
+
+def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
+    """Yield the binary pastings ``(left mask, right mask, k)`` of mask, in
+    the order of ``_split_after``, each resumed from the one before."""
+    k, code = None, 0
+    while (split := _split_after(p, mask, k, code)) is not None:
+        lmask, rmask, k, code = split
+        yield lmask, rmask, k
+
+
+def _first(p: OgPoset, mask: int) -> Optional[MoleculeCert]:
+    """The first certificate of mask, or None; memoized per subset on p.
+
+    An atom has one; any other mask takes the first split in the order of
+    ``_split_after`` whose parts are molecules, recognized the same way.  A
+    split whose parts fail is resumed from, so no candidate is built twice,
+    and recognition takes one stack frame per level of the certificate.
+    """
+    memo = p._mol_memo
+    cert = memo.get(mask, _UNSEEN)
+    if cert is not _UNSEEN:
+        return cert
+    cert = None
+    if mask:
+        if p.down[mask.bit_length() - 1] == mask:
+            cert = _node(p, mask)
+        else:
+            split = _split_after(p, mask)
+            while split is not None:
+                lmask, rmask, k, code = split
+                left = _first(p, lmask)
+                if left is not None:
+                    right = _first(p, rmask)
+                    if right is not None:
+                        cert = _node(p, mask, left, right, k)
+                        break
+                split = _split_after(p, mask, k, code)
+    memo[mask] = cert
+    return cert
 
 
 def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
@@ -262,11 +335,7 @@ def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
 
     An atom has one; any other mask has one per split into two molecules,
     in the order of ``_splits``, and given k only the splits at gluing
-    dimension k are read.  The parts' certificates are memoized per subset
-    on the parent: an unseen part, a proper subset of mask, is recognized
-    as the first certificate of its own walk.  A ``for`` loop resumes that
-    walk without a call (``next`` counts as one on Python 3.10 and 3.12),
-    so recognition takes one stack frame per level of the certificate.
+    dimension k are read.  The parts are recognized by ``_first``.
     """
     if not mask:
         return
@@ -274,26 +343,14 @@ def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
     if p.down[top] == mask:
         yield MoleculeCert(p, mask)
         return
-    memo = p._mol_memo
     for lmask, rmask, kk in _splits(p, mask):
         if k is not None and kk != k:
             continue
-        left = memo.get(lmask, _UNSEEN)
-        if left is _UNSEEN:
-            left = None
-            for left in _molecules(p, lmask):
-                break
-            memo[lmask] = left
-        if left is None:
-            continue
-        right = memo.get(rmask, _UNSEEN)
-        if right is _UNSEEN:
-            right = None
-            for right in _molecules(p, rmask):
-                break
-            memo[rmask] = right
-        if right is not None:
-            yield MoleculeCert(p, mask, left, right, kk)
+        left = _first(p, lmask)
+        if left is not None:
+            right = _first(p, rmask)
+            if right is not None:
+                yield MoleculeCert(p, mask, left, right, kk)
 
 
 _UNSEEN = object()  # memo lookups: None is an answer
@@ -305,11 +362,7 @@ def is_molecule(u: ClosedSubset) -> Optional[MoleculeCert]:
     Deterministic: the certificate is the first found under (k descending,
     left part ascending); results are memoized per subset on the parent.
     """
-    memo = u.parent._mol_memo
-    cert = memo.get(u.mask, _UNSEEN)
-    if cert is _UNSEEN:
-        cert = memo[u.mask] = next(_molecules(u.parent, u.mask), None)
-    return cert
+    return _first(u.parent, u.mask)
 
 
 def is_atom(u: ClosedSubset) -> bool:
@@ -431,10 +484,10 @@ def is_totally_loop_free(p: OgPoset) -> bool:
 
 
 def composable(a: ClosedSubset, b: ClosedSubset, k: int) -> bool:
-    """Whether a #k b is defined: they meet exactly in the matching bd's
-    (which have dimension <= k)."""
+    """Whether a #k b is defined: k >= 0, and they meet exactly in the
+    matching bd's (which have dimension <= k)."""
     inter = a.mask & b.mask
-    if inter & a.parent.mask_above(k):
+    if k < 0 or inter & a.parent.mask_above(k):
         return False
     return (a.boundary(+1, k).mask == inter
             and b.boundary(-1, k).mask == inter)

@@ -244,21 +244,19 @@ class OgPoset:
         of cl{x} of dimension >= k outside bd+_k cl{x}, with the + cofaces
         of the dim-k elements of bd+_k cl{x} added.  A top b cannot sit
         right of x at gluing dimension k exactly when cl{b} meets
-        ``reach``.  Computed once per element, for every such k, into
+        ``reach``.  ``not_in`` and ``not_out`` are the boundary kernel's
+        covered masks, so only the generators of bd+_k cl{x} are visited
+        one by one.  Computed once per element, for every such k, into
         ``_split_masks[x]``: at most ``3 * size * dim`` masks in all.
         """
         row = self._split_masks[x]
         if row is None:
-            cl, row = self.down[x], []
+            cl, row, cof_p = self.down[x], [], self.cofaces_plus
             for d in range(self.dims[x]):
-                not_in = not_out = up = 0
-                for z in bits(cl & self._dim_masks[d]):
-                    if self.cofaces_plus[z] & cl:
-                        not_in |= 1 << z
-                    if self.cofaces_minus[z] & cl:
-                        not_out |= 1 << z
-                    else:
-                        up |= self.cofaces_plus[z]
+                not_out, not_in, _ = _boundary_step(self, cl, d)
+                up = 0
+                for z in bits(cl & self._dim_masks[d] & ~not_out):
+                    up |= cof_p[z]
                 row.append((not_in, not_out,
                             cl & self._above[d] | not_out | up))
             row = self._split_masks[x] = tuple(row)

@@ -4,6 +4,8 @@ import io
 import json
 import pathlib
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,7 @@ from dircomplex import (
 )
 from dircomplex import molecule
 from dircomplex.cli import run
-from dircomplex.molecule import _closed_codes, _splits
+from dircomplex.molecule import MoleculeCert, _closed_codes, _splits
 from dircomplex.ogposet import bits, _shape
 
 from test_topology import _oriented_graded_posets, _pool, _with_copied_atom
@@ -296,6 +298,22 @@ def test_invalid_certificate_rejected():
         "invalid certificate: maximal elements [3, 4], dim 1"
 
 
+def test_verify_refuses_a_pasting_below_dimension_zero():
+    # two disjoint points meet in their empty (-1)-boundaries, but there is
+    # no pasting at k < 0, and a k that is no integer is no pasting either
+    p = OgPoset([0, 0], [0, 0], [0, 0])
+    a, b = MoleculeCert(p, 1), MoleculeCert(p, 2)
+    assert is_molecule(p.whole()) is None
+    assert not composable(a.subset, b.subset, -1)
+    for k in (-1, -2, None, 0.0, "0", True):
+        assert MoleculeCert(p, 3, a, b, k).verify() is False, k
+    arrow = paste(globe(1), globe(1), 0).whole
+    cert = is_molecule(arrow.whole())
+    assert cert.verify()
+    assert replace(cert, k=-1).verify() is False
+    assert replace(cert, k=None).verify() is False
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_verify_rejects_one_broken_node(corpus_members, data):
@@ -481,6 +499,90 @@ def test_split_walk_matches_exhaustive_scan(source):
             checked += 1
             split += bool(got)
     assert checked > least and split > 30
+
+
+def _first_by_scan(p, mask, memo):
+    """The first certificate of mask by recursion over ``_scan_splits``: an
+    atom, or the first scanned split whose two parts are molecules."""
+    if mask not in memo:
+        cert = None
+        if p.down[mask.bit_length() - 1] == mask:
+            cert = MoleculeCert(p, mask)
+        else:
+            for lmask, rmask, k in _scan_splits(ClosedSubset(p, mask)):
+                left = _first_by_scan(p, lmask, memo)
+                right = (None if left is None
+                         else _first_by_scan(p, rmask, memo))
+                if right is not None:
+                    cert = MoleculeCert(p, mask, left, right, k)
+                    break
+        memo[mask] = cert
+    return memo[mask]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_first_certificate_matches_the_scan_recursion(corpus_members, data):
+    # unions of cells of dimension 2 or more, or their boundaries, split
+    # more often than closures of random elements; recognition runs on a
+    # fresh copy, so that no earlier test's memo answers
+    _, p = data.draw(st.sampled_from(
+        corpus_members + sorted(_SCAN_SHAPES.items())))
+    cells = [x for x in range(p.size) if p.dims[x] >= min(2, p.dim)]
+    u = p.closure(data.draw(st.lists(st.sampled_from(cells), min_size=1,
+                                     max_size=4)))
+    if u.dim > 0 and data.draw(st.booleans()):
+        u = u.boundary(data.draw(st.sampled_from((-1, +1))))
+    fresh = OgPoset(p.dims, p.faces_minus, p.faces_plus)
+    cert = is_molecule(ClosedSubset(fresh, u.mask))
+    ref = _first_by_scan(p, u.mask, {})
+    assert (cert is None) == (ref is None)
+    if cert is not None:
+        assert cert.to_json() == ref.to_json()
+        assert cert.verify() and ref.verify()
+
+
+def test_a_failed_first_split_resumes_at_its_own_k():
+    # two arrows, one without an input and one without an output vertex:
+    # the first split's left part is two points and an arrow, which does
+    # not split, and the certificate is the next split at the same k
+    p = OgPoset([0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 1, 0])
+    assert list(_splits(p, p.all_mask)) == [(7, 11, 0), (10, 5, 0)]
+    assert is_molecule(ClosedSubset(p, 7)) is None
+    cert = is_molecule(p.whole())
+    assert cert.to_json() == _first_by_scan(p, p.all_mask, {}).to_json() \
+        == '{"k":0,"left":{"atom":3},"right":{"atom":2}}'
+
+
+def test_threads_recognizing_one_poset_get_the_same_certificates():
+    # four threads fill one poset's memo and split table at once, switching
+    # every microsecond; each must get whole certificates, equal to one
+    # thread's on its own copy
+    base = simplex(6)
+    p = OgPoset(base.dims, base.faces_minus, base.faces_plus)
+    alone = OgPoset(base.dims, base.faces_minus, base.faces_plus)
+    want = [(True, is_molecule(alone.whole().boundary(s)).to_json())
+            for s in (-1, +1)]
+    got = []
+    start = threading.Barrier(4)
+
+    def work():
+        start.wait()
+        certs = [is_molecule(p.whole().boundary(s)) for s in (-1, +1)]
+        got.append([(c.verify(), c.to_json()) for c in certs])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [want] * 4
 
 
 def _relation_rows(t):
@@ -725,7 +827,8 @@ def test_large_certificate_renders_as_json_dumps():
 @given(data=st.data())
 def test_composable_agrees_with_its_two_boundaries(corpus_members, data):
     # the early refusal (a common element above dimension k) must give the
-    # answer that comparing both k-boundaries with the intersection gives
+    # answer that comparing both k-boundaries with the intersection gives;
+    # there is no pasting at k < 0, though both (-1)-boundaries are empty
     _, p = data.draw(st.sampled_from(corpus_members))
     tops = st.lists(st.integers(0, p.size - 1), min_size=1, max_size=4)
     a = p.closure(data.draw(tops))
@@ -734,7 +837,7 @@ def test_composable_agrees_with_its_two_boundaries(corpus_members, data):
         inter = u.mask & v.mask
         for k in range(-1, p.dim + 1):
             assert composable(u, v, k) == (
-                u.boundary(+1, k).mask == inter
+                k >= 0 and u.boundary(+1, k).mask == inter
                 and v.boundary(-1, k).mask == inter), k
 
 

@@ -19,7 +19,7 @@ from dircomplex import (
 )
 from dircomplex.ogposet import bits
 
-from test_topology import _oriented_graded_posets
+from test_topology import _oriented_graded_posets, _pool
 
 
 def test_validate_empty_and_point():
@@ -433,6 +433,34 @@ def test_mask_kernels_match_definitions(corpus_members, data):
                 if p.faces_plus[y] & outs:
                     reach |= 1 << y
             assert p._split_row(x)[k] == (not_in, not_out, reach)
+
+
+def _split_row_by_member(p, x):
+    """The split rows of x by a loop over every member of cl{x}, each
+    asking its own coface masks: the form they had before they were read
+    off the boundary kernel."""
+    cl, row = p.down[x], []
+    for d in range(p.dims[x]):
+        not_in = not_out = up = 0
+        for z in bits(cl & p.dim_mask(d)):
+            if p.cofaces_plus[z] & cl:
+                not_in |= 1 << z
+            if p.cofaces_minus[z] & cl:
+                not_out |= 1 << z
+            else:
+                up |= p.cofaces_plus[z]
+        row.append((not_in, not_out, cl & p.mask_above(d) | not_out | up))
+    return tuple(row)
+
+
+def test_split_rows_match_the_member_loop(corpus_members):
+    named = corpus_members + list(_pool()) + [
+        ("simplex5", simplex(5)), ("cube4", cube(4)),
+        ("gray-simplex2-globe2", gray(simplex(2), globe(2)))]
+    for name, p in named:
+        fresh = OgPoset(p.dims, p.faces_minus, p.faces_plus)
+        for x in range(p.size):
+            assert fresh._split_row(x) == _split_row_by_member(p, x), (name, x)
 
 
 def _boundary_by_element(u, sign=None, n=None):
