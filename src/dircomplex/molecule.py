@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .ogposet import OgPoset, ClosedSubset, bits, _shape_twin
+from .ogposet import OgPoset, ClosedSubset, bits, _boundary_step, _shape_twin
 
 
 class NotAMolecule(ValueError):
@@ -210,19 +210,38 @@ def _next_code(downs: list[int], reach: list[int], rows: list[int],
     return 0
 
 
-def _closed_codes(downs: list[int], reach: list[int]) -> Iterator[int]:
-    """Every closed left part, as codes ascending, but 0 and the full code:
-    ``_next_code`` from 0 on, over one table of forcing rows."""
-    rows = [-1] * len(downs)
-    code = 0
-    while code := _next_code(downs, reach, rows, code):
-        yield code
+def _split_row(p: OgPoset, x: int) -> tuple[tuple[int, int, int], ...]:
+    """The masks of cl{x} that the split search reads, for each k < dim x.
+
+    Entry k is ``(not_in, not_out, reach)``: the dim-k elements of
+    cl{x} with a + (for ``not_in``) or a - (for ``not_out``) coface
+    inside cl{x}, so outside bd-_k cl{x} or bd+_k cl{x}; and the members
+    of cl{x} of dimension >= k outside bd+_k cl{x}, with the + cofaces
+    of the dim-k elements of bd+_k cl{x} added.  A top b cannot sit
+    right of x at gluing dimension k exactly when cl{b} meets
+    ``reach``.  ``not_in`` and ``not_out`` are the boundary kernel's
+    covered masks, so only the generators of bd+_k cl{x} are visited
+    one by one.  Computed once per element, for every such k, into
+    ``p._split_masks[x]``: at most ``3 * size * dim`` masks in all.
+    """
+    row = p._split_masks[x]
+    if row is None:
+        cl, row, cof_p = p.down[x], [], p.cofaces_plus
+        for d in range(p.dims[x]):
+            not_out, not_in, _ = _boundary_step(p, cl, d)
+            up = 0
+            for z in bits(cl & p._dim_masks[d] & ~not_out):
+                up |= cof_p[z]
+            row.append((not_in, not_out, cl & p._above[d] | not_out | up))
+        row = p._split_masks[x] = tuple(row)
+    return row
 
 
 def _split_after(p: OgPoset, mask: int, k: Optional[int] = None,
                  code: int = 0) -> Optional[tuple[int, int, int, int]]:
     """The first binary pasting of mask after the candidate ``(k, code)``,
-    as ``(left mask, right mask, k, code)``, or None; k None starts at the
+    as ``(left mask, right mask, k, code)``, or None; code 0 starts at the
+    beginning of k, and k None, or above every gluing dimension, at the
     beginning.
 
     Deterministic: gluing dimension k runs downward from one below the
@@ -230,7 +249,7 @@ def _split_after(p: OgPoset, mask: int, k: Optional[int] = None,
     are left to split); for each k the maximal elements of dimension > k
     are bipartitioned.  Everything two tops a, b share must land in the
     gluing interface, so with a on the left, b must go left too when cl{b}
-    meets the ``reach`` mask of a (``OgPoset._split_row``); the left parts
+    meets the ``reach`` mask of a (``_split_row``); the left parts
     closed under that relation are walked by ``_next_code`` in ascending
     bitmask order, which is the order of a scan over all 2^t bipartitions,
     building only the forcing rows the walk reaches.  Given a bipartition,
@@ -257,13 +276,13 @@ def _split_after(p: OgPoset, mask: int, k: Optional[int] = None,
     if len(maximals) < 2:
         return None
     maximals.reverse()
-    if k is None:
+    if k is None or k >= dims[maximals[-2]]:
         k = dims[maximals[-2]] - 1
     while k >= 0:
         downs, reach, tops = [], [], []
         for x in maximals:
             if dims[x] > k:
-                entry = (table[x] or p._split_row(x))[k]
+                entry = (table[x] or _split_row(p, x))[k]
                 downs.append(down[x])
                 reach.append(entry[2])
                 tops.append(entry)
@@ -289,10 +308,12 @@ def _split_after(p: OgPoset, mask: int, k: Optional[int] = None,
     return None
 
 
-def _splits(p: OgPoset, mask: int) -> Iterator[tuple[int, int, int]]:
+def _splits(p: OgPoset, mask: int, k: Optional[int] = None
+            ) -> Iterator[tuple[int, int, int]]:
     """Yield the binary pastings ``(left mask, right mask, k)`` of mask, in
-    the order of ``_split_after``, each resumed from the one before."""
-    k, code = None, 0
+    the order of ``_split_after``, each resumed from the one before; given
+    k, from the first at gluing dimension k or below."""
+    code = 0
     while (split := _split_after(p, mask, k, code)) is not None:
         lmask, rmask, k, code = split
         yield lmask, rmask, k
@@ -329,30 +350,6 @@ def _first(p: OgPoset, mask: int) -> Optional[MoleculeCert]:
     return cert
 
 
-def _molecules(p: OgPoset, mask: int, k: Optional[int] = None
-               ) -> Iterator[MoleculeCert]:
-    """Yield a certificate for each way mask is a molecule, one at a time.
-
-    An atom has one; any other mask has one per split into two molecules,
-    in the order of ``_splits``, and given k only the splits at gluing
-    dimension k are read.  The parts are recognized by ``_first``.
-    """
-    if not mask:
-        return
-    top = mask.bit_length() - 1
-    if p.down[top] == mask:
-        yield MoleculeCert(p, mask)
-        return
-    for lmask, rmask, kk in _splits(p, mask):
-        if k is not None and kk != k:
-            continue
-        left = _first(p, lmask)
-        if left is not None:
-            right = _first(p, rmask)
-            if right is not None:
-                yield MoleculeCert(p, mask, left, right, kk)
-
-
 _UNSEEN = object()  # memo lookups: None is an answer
 
 
@@ -386,13 +383,15 @@ def toplevel_decomposition(cert: MoleculeCert, k: Optional[int] = None
 
     p = u.parent
 
-    def flat(sub: ClosedSubset) -> list[ClosedSubset]:
-        for c in _molecules(p, sub.mask, k):
-            if not c.is_atom:
-                return flat(c.left.subset) + flat(c.right.subset)
-        return [sub]
+    def flat(mask: int) -> list[ClosedSubset]:
+        for lmask, rmask, kk in _splits(p, mask, k):
+            if kk != k:
+                break
+            if _first(p, lmask) is not None and _first(p, rmask) is not None:
+                return flat(lmask) + flat(rmask)
+        return [ClosedSubset(p, mask)]
 
-    parts = flat(u)
+    parts = flat(u.mask)
     for part in parts:
         n_tops = sum(1 for t in part.maximal() if p.dims[t] > k)
         if n_tops != 1:
@@ -549,10 +548,9 @@ def find_submolecule(v: MoleculeCert, u: MoleculeCert
         if cur in memo:
             return memo[cur]
         result = None
-        for c in _molecules(p, cur):
-            if c.is_atom:
-                break
-            lmask, rmask = c.left.mask, c.right.mask
+        for lmask, rmask, _ in _splits(p, cur):
+            if _first(p, lmask) is None or _first(p, rmask) is None:
+                continue
             if target & ~lmask == 0:
                 tail = search(lmask)
                 if tail is not None:

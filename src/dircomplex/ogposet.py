@@ -235,33 +235,6 @@ class OgPoset:
             return self.all_mask
         return self._above[d] if d <= self.dim else 0
 
-    def _split_row(self, x: int) -> tuple[tuple[int, int, int], ...]:
-        """The masks of cl{x} that the split search reads, for each k < dim x.
-
-        Entry k is ``(not_in, not_out, reach)``: the dim-k elements of
-        cl{x} with a + (for ``not_in``) or a - (for ``not_out``) coface
-        inside cl{x}, so outside bd-_k cl{x} or bd+_k cl{x}; and the members
-        of cl{x} of dimension >= k outside bd+_k cl{x}, with the + cofaces
-        of the dim-k elements of bd+_k cl{x} added.  A top b cannot sit
-        right of x at gluing dimension k exactly when cl{b} meets
-        ``reach``.  ``not_in`` and ``not_out`` are the boundary kernel's
-        covered masks, so only the generators of bd+_k cl{x} are visited
-        one by one.  Computed once per element, for every such k, into
-        ``_split_masks[x]``: at most ``3 * size * dim`` masks in all.
-        """
-        row = self._split_masks[x]
-        if row is None:
-            cl, row, cof_p = self.down[x], [], self.cofaces_plus
-            for d in range(self.dims[x]):
-                not_out, not_in, _ = _boundary_step(self, cl, d)
-                up = 0
-                for z in bits(cl & self._dim_masks[d] & ~not_out):
-                    up |= cof_p[z]
-                row.append((not_in, not_out,
-                            cl & self._above[d] | not_out | up))
-            row = self._split_masks[x] = tuple(row)
-        return row
-
     def elements_of_dim(self, d: int) -> Iterator[int]:
         return bits(self.dim_mask(d))
 
@@ -325,6 +298,11 @@ class ClosedSubset:
 
     parent: OgPoset
     mask: int
+
+    def __post_init__(self):
+        if self.mask >> self.parent.size:  # negative, or past the last element
+            raise IndexOutOfRange(f"subset mask out of range for "
+                                  f"{self.parent.size} elements")
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,7 @@ from dircomplex import (
 )
 from dircomplex import molecule
 from dircomplex.cli import run
-from dircomplex.molecule import MoleculeCert, _closed_codes, _splits
+from dircomplex.molecule import MoleculeCert, _next_code, _splits
 from dircomplex.ogposet import bits, _shape
 
 from test_topology import _oriented_graded_posets, _pool, _with_copied_atom
@@ -405,6 +405,10 @@ def test_toplevel_decomposition_explicit_k():
     for part in parts:
         tops = [t for t in part.maximal() if p.dims[t] > 0]
         assert len(tops) == 1
+    # at or above the dimension there is no split, and no top above k
+    for k in (2, 3):
+        with pytest.raises(NotAMolecule, match=f"0 atoms above dimension {k}"):
+            toplevel_decomposition(cert, k)
 
 
 # -- the split walk against the exhaustive scan it replaced -----------------
@@ -554,6 +558,101 @@ def test_a_failed_first_split_resumes_at_its_own_k():
         == '{"k":0,"left":{"atom":3},"right":{"atom":2}}'
 
 
+def _decomposition_by_scan(cert, k, scan, mols):
+    """``toplevel_decomposition`` in the order of a generator of every
+    molecule split: each scanned split of a part is read, those at another
+    gluing dimension skipped, and the first into two molecules taken.  The
+    part masks and k, or NotAMolecule."""
+    p = cert.parent
+    if k is None:
+        k = cert.subset.dim - 1 if cert.is_atom else cert.k
+
+    def flat(mask):
+        for lmask, rmask, kk in scan(mask):
+            if (kk == k and _first_by_scan(p, lmask, mols) is not None
+                    and _first_by_scan(p, rmask, mols) is not None):
+                return flat(lmask) + flat(rmask)
+        return [mask]
+
+    parts = flat(cert.mask)
+    for mask in parts:
+        if sum(p.dims[t] > k for t in ClosedSubset(p, mask).maximal()) != 1:
+            return NotAMolecule
+    return parts, k
+
+
+def _submolecule_by_scan(p, target, cur, scan, mols, memo):
+    """``find_submolecule``'s witness from cur down to target, reading the
+    scanned splits of each subset whose two parts are molecules."""
+    if cur == target:
+        return []
+    if cur not in memo:
+        memo[cur] = None
+        for lmask, rmask, _ in scan(cur):
+            if (_first_by_scan(p, lmask, mols) is None
+                    or _first_by_scan(p, rmask, mols) is None):
+                continue
+            for side, part in (("left", lmask), ("right", rmask)):
+                if target & ~part == 0:
+                    tail = _submolecule_by_scan(p, target, part, scan, mols,
+                                                memo)
+                    if tail is not None:
+                        memo[cur] = [(lmask, rmask, side)] + tail
+                        return memo[cur]
+    return memo[cur]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decompositions_and_witnesses_match_the_scan_order(corpus_members,
+                                                            data):
+    # toplevel_decomposition stops its split walk below its k, and
+    # find_submolecule tests both parts of each split it walks; both must
+    # answer as a reading of every scanned molecule split does
+    p = data.draw(st.one_of(_oriented_graded_posets(), st.sampled_from(
+        [q for _, q in corpus_members + sorted(_SCAN_SHAPES.items())])))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    masks = {u.mask for u in _split_test_subsets(p, rng, 3)}
+    split = sorted(m for m in masks if p.down[m.bit_length() - 1] != m)
+    u = ClosedSubset(p, data.draw(st.sampled_from(split or sorted(masks))))
+    fresh = OgPoset(p.dims, p.faces_minus, p.faces_plus)
+    cert = is_molecule(ClosedSubset(fresh, u.mask))
+    scans, mols = {}, {}
+
+    def scan(mask):
+        if mask not in scans:
+            scans[mask] = _scan_splits(ClosedSubset(p, mask))
+        return scans[mask]
+
+    ref = _first_by_scan(p, u.mask, mols)
+    assert (cert is None) == (ref is None)
+    if cert is None:
+        return
+    for k in [None, *range(u.dim)]:
+        try:
+            parts, kk = toplevel_decomposition(cert, k)
+            got = [q.mask for q in parts], kk
+        except NotAMolecule:
+            got = NotAMolecule
+        assert got == _decomposition_by_scan(ref, k, scan, mols), k
+    for x in bits(u.mask):
+        v = is_molecule(ClosedSubset(fresh, p.down[x]))
+        assert find_submolecule(v, cert) == _submolecule_by_scan(
+            p, p.down[x], u.mask, scan, mols, {}), x
+
+
+def test_find_submolecule_skips_a_split_whose_right_part_is_no_molecule():
+    # arrows 2: () -> 1, 3: 0 -> () and 4: () -> 0; the first split of the
+    # whole puts arrow 2 alone on the left, a molecule, and the rest, which
+    # is no molecule, on the right: the witness for arrow 2 passes it by
+    p = OgPoset([0, 0, 1, 1, 1], [0, 0, 0, 1, 0], [0, 0, 2, 0, 1])
+    assert next(_splits(p, p.all_mask)) == (6, 27, 0)
+    assert is_molecule(ClosedSubset(p, 27)) is None
+    assert find_submolecule(is_molecule(ClosedSubset(p, 6)),
+                            is_molecule(p.whole())) \
+        == [(17, 15, "right"), (9, 6, "right")]
+
+
 def test_threads_recognizing_one_poset_get_the_same_certificates():
     # four threads fill one poset's memo and split table at once, switching
     # every microsecond; each must get whole certificates, equal to one
@@ -599,7 +698,10 @@ def test_closed_codes_are_the_closed_bipartitions_in_order(forced):
     t = len(forced)
     want = [c for c in range(1, (1 << t) - 1)
             if all(forced[i] & ~c == 0 for i in bits(c))]
-    assert list(_closed_codes([1 << j for j in range(t)], forced)) == want
+    downs, rows, got, code = [1 << j for j in range(t)], [-1] * t, [], 0
+    while code := _next_code(downs, forced, rows, code):
+        got.append(code)
+    assert got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -614,7 +716,7 @@ def test_forcing_rows_match_pair_definition(corpus_members, data):
     for k in range(u.dim):
         tops = [t for t in u.maximal() if p.dims[t] > k]
         for a in tops:
-            reach = p._split_row(a)[k][2]
+            reach = molecule._split_row(p, a)[k][2]
             for b in tops:
                 if a != b:
                     assert bool(p.down[b] & reach) == \

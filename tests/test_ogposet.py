@@ -14,9 +14,10 @@ from dircomplex import (
     FaceDimMismatch, OrientationClash, NotGraded, IndexOutOfRange,
     find_isomorphism, enumerate_maps,
     globe, simplex, globe_element, simplex_index, globe_tau,
-    folding_a, cube, gray, paste, is_regular_complex,
-    homology, nerve,
+    folding_a, cube, gray, paste, is_regular_complex, is_molecule,
+    homology, euler, nerve,
 )
+from dircomplex import molecule
 from dircomplex.ogposet import bits
 
 from test_topology import _oriented_graded_posets, _pool
@@ -81,6 +82,18 @@ def test_closure_simplex_against_order_oracle():
 def test_closure_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         globe(1).closure([7])
+
+
+@pytest.mark.parametrize("mask", [-6, 1 << 9])
+def test_subset_mask_out_of_range(mask):
+    # a negative mask sent is_molecule and homology into endless loops, and
+    # a bit past the last element ended the walks in a bare IndexError
+    p = simplex(2)
+    for call in (is_molecule, homology, is_regular_complex, euler):
+        with pytest.raises(IndexOutOfRange, match="7 elements"):
+            call(ClosedSubset(p, mask))
+    assert ClosedSubset(p, p.all_mask) - ClosedSubset(p, 1) \
+        == ClosedSubset(p, p.all_mask - 1)
 
 
 def test_boundary_globe2():
@@ -432,7 +445,7 @@ def test_mask_kernels_match_definitions(corpus_members, data):
                     reach |= 1 << y
                 if p.faces_plus[y] & outs:
                     reach |= 1 << y
-            assert p._split_row(x)[k] == (not_in, not_out, reach)
+            assert molecule._split_row(p, x)[k] == (not_in, not_out, reach)
 
 
 def _split_row_by_member(p, x):
@@ -460,7 +473,8 @@ def test_split_rows_match_the_member_loop(corpus_members):
     for name, p in named:
         fresh = OgPoset(p.dims, p.faces_minus, p.faces_plus)
         for x in range(p.size):
-            assert fresh._split_row(x) == _split_row_by_member(p, x), (name, x)
+            assert molecule._split_row(fresh, x) \
+                == _split_row_by_member(p, x), (name, x)
 
 
 def _boundary_by_element(u, sign=None, n=None):
