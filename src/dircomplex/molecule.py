@@ -64,6 +64,7 @@ class MoleculeCert:
                 continue
             l, r = left.mask, right.mask
             if (type(node.k) is not int or l == mask or r == mask
+                    or left.parent != p or right.parent != p
                     or l | r != mask
                     or not composable(left.subset, right.subset, node.k)):
                 return False
@@ -483,13 +484,25 @@ def is_totally_loop_free(p: OgPoset) -> bool:
 
 
 def composable(a: ClosedSubset, b: ClosedSubset, k: int) -> bool:
-    """Whether a #k b is defined: k >= 0, and they meet exactly in the
-    matching bd's (which have dimension <= k)."""
-    inter = a.mask & b.mask
-    if k < 0 or inter & a.parent.mask_above(k):
+    """Whether a #k b is defined: k >= 0, and a and b (subsets of one poset)
+    meet exactly in bd+_k a = bd-_k b, which has dimension <= k.  Its dim-k
+    part is its generators, the dim-k members of a that no - edge covers
+    (the closure of the members under nothing above k adds none), so they
+    are compared with the intersection's before any closure; dually for b.
+    """
+    p, inter = a.parent, a.mask & a._other_mask(b)
+    if k < 0 or inter & p.mask_above(k):
         return False
-    return (a.boundary(+1, k).mask == inter
-            and b.boundary(-1, k).mask == inter)
+    if k >= p.dim:  # each is its own k-boundary
+        return a.mask == inter == b.mask
+    at_k, rests = inter & p._dim_masks[k], []
+    for mask, i in ((a.mask, 0), (b.mask, 1)):  # covered by - / by + edges
+        step = _boundary_step(p, mask, k)
+        if mask & p._dim_masks[k] & ~step[i] != at_k:
+            return False
+        rests.append(step[2])
+    bd = p.closure_mask(at_k)
+    return all(bd | rest == inter for rest in rests)
 
 
 def enumerate_molecules(p: OgPoset) -> list[ClosedSubset]:

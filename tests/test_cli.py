@@ -372,6 +372,19 @@ def test_oversized_shape_is_refused_before_it_is_built(args):
                            f"{_SHAPE_LIMIT} elements\n")
 
 
+def test_module_runs_the_cli():
+    # python -m dircomplex is the console script, with no install
+    shape = subprocess.run(
+        [sys.executable, "-m", "dircomplex", "shape", "globe", "2"],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    check = subprocess.run(
+        [sys.executable, "-m", "dircomplex", "check", "spherical", "-"],
+        input=shape.stdout, capture_output=True, text=True, env=_cli_env(),
+        timeout=60)
+    assert shape.returncode == check.returncode == 0, check.stderr
+    assert json.loads(check.stdout)["ok"] is True
+
+
 @pytest.mark.parametrize("args", [["a", "40"], ["gamma", "100000"],
                                   ["c", "14"], ["sprec", "14"]])
 def test_oversized_map_is_refused_before_it_is_built(args):

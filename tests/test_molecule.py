@@ -935,12 +935,32 @@ def test_composable_agrees_with_its_two_boundaries(corpus_members, data):
     tops = st.lists(st.integers(0, p.size - 1), min_size=1, max_size=4)
     a = p.closure(data.draw(tops))
     b = p.closure(data.draw(tops))
-    for u, v in ((a, b), (b, a), (a, a.boundary(+1)), (a.boundary(-1), a)):
+    empty = ClosedSubset(p, 0)
+    for u, v in ((a, b), (b, a), (a, a.boundary(+1)), (a.boundary(-1), a),
+                 (a, empty), (empty, b), (empty, empty)):
         inter = u.mask & v.mask
-        for k in range(-1, p.dim + 1):
+        for k in range(-1, p.dim + 2):  # k >= dim takes the whole subset
             assert composable(u, v, k) == (
                 k >= 0 and u.boundary(+1, k).mask == inter
                 and v.boundary(-1, k).mask == inter), k
+
+
+def test_composable_refuses_subsets_of_different_posets():
+    with pytest.raises(ValueError, match="subsets of different posets"):
+        composable(ClosedSubset(globe(1), 1), ClosedSubset(simplex(2), 1), 0)
+
+
+def test_verify_refuses_parts_of_another_poset():
+    # Q is the path 0 -> 1 -> 2 and P the cospan 0 -> 1 <- 2, with the same
+    # elements and masks: Q's pasting is no certificate of P
+    q = OgPoset((0, 0, 0, 1, 1), (0, 0, 0, 0b001, 0b010),
+                (0, 0, 0, 0b010, 0b100))
+    p = OgPoset((0, 0, 0, 1, 1), (0, 0, 0, 0b001, 0b100),
+                (0, 0, 0, 0b010, 0b010))
+    assert is_molecule(p.whole()) is None
+    left, right = MoleculeCert(q, 0b01011), MoleculeCert(q, 0b10110)
+    assert MoleculeCert(q, 0b11111, left, right, 0).verify()
+    assert MoleculeCert(p, 0b11111, left, right, 0).verify() is False
 
 
 def _molecules_by_pairs(p):

@@ -15,10 +15,10 @@ from dircomplex import (
     find_isomorphism, enumerate_maps,
     globe, simplex, globe_element, simplex_index, globe_tau,
     folding_a, cube, gray, paste, is_regular_complex, is_molecule,
-    homology, euler, nerve,
+    homology, euler, nerve, op,
 )
-from dircomplex import molecule
-from dircomplex.ogposet import bits
+from dircomplex import molecule, ogposet
+from dircomplex.ogposet import bits, _match, _shape
 
 from test_topology import _oriented_graded_posets, _pool
 
@@ -302,6 +302,90 @@ def test_find_isomorphism_is_the_unique_map_on_corpus_molecules(
     f, g = find_isomorphism(p, q), _iso_by_reference(p, q)
     assert f is not None and g is not None
     assert f.assignment == g.assignment
+
+
+def _match_pairs(p: OgPoset, copy: OgPoset) -> list:
+    """The (a, b) pairs of closed subsets that the shape property matches:
+    p and each of its k-boundaries with the same one of ``copy``, and with
+    the same mask in ``op(p)`` (numbered as p, only signs differ), and
+    bd+_k p with bd-_k ``copy``, which ``paste(p, copy, k)`` matches."""
+    r = op(p)
+    pairs = [(p.whole(), copy.whole())] + [
+        (p.whole().boundary(s, k), copy.whole().boundary(s, k))
+        for k in range(p.dim) for s in (-1, 1)]
+    return (pairs + [(a, ClosedSubset(r, a.mask)) for a, _ in pairs]
+            + [(p.whole().boundary(+1, k), copy.whole().boundary(-1, k))
+               for k in range(p.dim)])
+
+
+def _check_match(a: ClosedSubset, b: ClosedSubset) -> None:
+    """``_match(a, b)`` finds an isomorphism exactly when its search does
+    with the shape shortcut disabled; when the shapes agree on a molecule,
+    which has no nontrivial automorphism, both give the same map; and the
+    map it returns and the inverse both pass ``PosetMap.check``."""
+    got = _match(a, b)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ogposet, "_shape", lambda p, mask: object())  # never equal
+        searched = _match(a, b)
+    assert (got is None) == (searched is None)
+    if got is None:
+        return
+    if (len(a) == len(b) and is_molecule(a) is not None
+            and ogposet._shape(a.parent, a.mask)
+            == ogposet._shape(b.parent, b.mask)):
+        assert got == searched
+    (pa, ia), (pb, ib) = a.extract(), b.extract()
+    back = {y: j for j, y in enumerate(ib.assignment)}
+    there = [back[got[x]] for x in ia.assignment]
+    inverse = [0] * pb.size
+    for i, j in enumerate(there):
+        inverse[j] = i
+    assert PosetMap(pa, pb, tuple(there)).is_valid()
+    assert PosetMap(pb, pa, tuple(inverse)).is_valid()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_shape_shortcut_is_the_searched_isomorphism(corpus_members, data):
+    # the copy is identical or relabelled within each dimension, so the
+    # shortcut and the search both get their turn
+    _, p = data.draw(st.sampled_from(corpus_members + list(_pool())))
+    same = OgPoset(p.dims, p.faces_minus, p.faces_plus)
+    copy = data.draw(st.sampled_from([same, relabelled(p, data)]))
+    for a, b in _match_pairs(p, copy):
+        _check_match(a, b)
+
+
+def test_shape_shortcut_needs_as_many_members():
+    # a vertex after the others and under nothing leaves the shape alone
+    q = OgPoset((0, 0, 0, 1), (0, 0, 0, 0b001), (0, 0, 0, 0b010))
+    assert _shape(q, q.all_mask) == _shape(globe(1), globe(1).all_mask)
+    assert _match(globe(1).whole(), q.whole()) is None
+    assert find_isomorphism(globe(1), q) is None
+
+
+def test_shape_shortcut_needs_the_signs(corpus_members, monkeypatch):
+    # a shape that lists faces without their signs matches an arrow onto
+    # its reverse in order, which is no map
+    def sign_blind(p, a):
+        shape = []
+        for i in bits(a & p._above[0]):
+            shape += [(a & f - 1).bit_count()
+                      for f in map((1).__lshift__,
+                                   bits(p.faces_minus[i] | p.faces_plus[i]))]
+            shape.append(-1)
+        return shape
+
+    monkeypatch.setattr(ogposet, "_shape", sign_blind)
+    failed = 0
+    for _, p in corpus_members + list(_pool()):
+        for a, b in _match_pairs(p, OgPoset(p.dims, p.faces_minus,
+                                            p.faces_plus)):
+            try:
+                _check_match(a, b)
+            except AssertionError:
+                failed += 1
+    assert failed
 
 
 def test_subset_operations_check_the_parent_under_python_O():
