@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .ogposet import OgPoset, ClosedSubset, bits, _boundary_step, _shape_twin
+from .ogposet import OgPoset, ClosedSubset, bits, _boundary_step, _shape
 
 
 class NotAMolecule(ValueError):
@@ -438,23 +438,25 @@ def is_regular_complex(p: Union[OgPoset, ClosedSubset]) -> bool:
     y generates bd^(-a)_{d-2} U, so it has no a-coface in U.  But y is a
     face of an element of M^b and a (-a)-face of none: a contradiction.
 
-    Both clauses read only U, so atoms with isomorphic closures share a
-    verdict: an atom is not checked when ``_shape_twin`` finds an earlier
-    one whose closure has the shape of U, which makes the two closures
-    isomorphic.  Atoms with single-atom boundaries are checked, which is
-    cheaper than comparing.
+    Both clauses read only U, so atoms whose closures have one ``_shape``
+    key, which makes them isomorphic, share a verdict: an atom is not
+    checked when an earlier one's closure had its key.  Atoms with
+    single-atom boundaries are checked, which is cheaper than the key.
     """
     if isinstance(p, ClosedSubset):
         p, members = p.parent, bits(p.mask)
     else:
         members = range(p.size)
-    first: dict = {}  # see _shape_twin
+    checked = set()  # _shape keys of the closures checked
     for x in members:
         if p.dims[x] == 0:
             continue
         m, q = p.faces_minus[x], p.faces_plus[x]
-        if (m & (m - 1) or q & (q - 1)) and _shape_twin(p, x, first) != x:
-            continue
+        if m & (m - 1) or q & (q - 1):
+            key = _shape(p, p.down[x])
+            if key in checked:
+                continue
+            checked.add(key)
         bds = ClosedSubset(p, p.down[x]).boundaries()
         minus, plus = (ClosedSubset(p, m) for m in bds[-1])
         if (is_molecule(minus) is None or is_molecule(plus) is None

@@ -419,7 +419,7 @@ class ClosedSubset:
         return self.mask != 0
 
     def __le__(self, other):
-        return self.mask & ~other.mask == 0
+        return self.mask & ~self._other_mask(other) == 0
 
     def __repr__(self):
         return f"ClosedSubset({sorted(bits(self.mask))})"
@@ -575,24 +575,23 @@ def _match(a: ClosedSubset, b: ClosedSubset) -> Optional[list[int]]:
     """An isomorphism of the closed subset a onto b, found in place: a list
     of images in ``b.parent`` indexed by ``a.parent`` (-1 off a), or None.
 
-    When a and b have as many members and the same ``_shape``, it is the
-    order-preserving bijection, with no search: the shape lists the
-    members above dimension 0 in order, so both start with as many
-    vertices, and it maps the - and + faces of each onto those of its
-    image, which makes it an isomorphism.  Otherwise members of a are
-    placed breadth first over its Hasse diagram, each component from a
-    member of its rarest class of profiles (dimension and degrees), the
-    highest such.  The image of x is an unused member of b with the
-    dimension and in-subset degrees of x, and a face (coface) with the
-    same sign of the image of every placed coface (face) of x; so on a
-    path all after the first arrow is forced.  Every covering edge is
-    checked when its later end is placed, and degrees count faces of each
-    sign, so a full placement maps faces exactly; the search backtracks on
-    dead ends, so it misses no isomorphism.  Regular molecules have no
-    nontrivial automorphism: on them either way finds the only one;
-    elsewhere the result is the order-preserving one or the first found."""
+    When a and b are closed and have one ``_shape`` key, it is the
+    order-preserving bijection, with no search (``_shape`` says why that
+    is an isomorphism).  Otherwise members of a are placed breadth first
+    over its Hasse diagram, each component from a member of its rarest
+    class of profiles (dimension and degrees), the highest such.  The
+    image of x is an unused member of b with the dimension and in-subset
+    degrees of x, and a face (coface) with the same sign of the image of
+    every placed coface (face) of x; so on a path all after the first
+    arrow is forced.  Every covering edge is checked when its later end is
+    placed, and degrees count faces of each sign, so a full placement maps
+    faces exactly; the search backtracks on dead ends, so it misses no
+    isomorphism.  Regular molecules have no nontrivial automorphism: on
+    them either way finds the only one; elsewhere the result is the
+    order-preserving one or the first found."""
     p, pm, q, qm = a.parent, a.mask, b.parent, b.mask
-    if pm.bit_count() == qm.bit_count() and _shape(p, pm) == _shape(q, qm):
+    if (_shape(p, pm) == _shape(q, qm) and p.closure_mask(pm) == pm
+            and q.closure_mask(qm) == qm):
         assign = [-1] * p.size
         for x, y in zip(bits(pm), bits(qm)):
             assign[x] = y
@@ -662,28 +661,23 @@ def _match(a: ClosedSubset, b: ClosedSubset) -> Optional[list[int]]:
     return assign
 
 
-def _shape_twin(p: OgPoset, x: int, first: dict) -> int:
-    """The first element filed in ``first`` under the invariant of x if its
-    closure has the shape of cl{x} (``_shape``), else x.  The invariant,
-    numbers of - and + faces and of closure elements per dimension, makes
-    the order-preserving bijection of equal shapes an isomorphism that
-    keeps signs.  ``first`` is one pass's; it keeps the first one's shape."""
-    cl = p.down[x]
-    key = (p.faces_minus[x].bit_count(), p.faces_plus[x].bit_count(),
-           *[(cl & run).bit_count() for run in p._dim_masks[:p.dims[x]]])
-    filed = first.setdefault(key, [x, None])
-    if filed[0] == x:
-        return x
-    if filed[1] is None:
-        filed[1] = _shape(p, p.down[filed[0]])
-    return filed[0] if _shape(p, cl) == filed[1] else x
+def _shape(p: OgPoset, a: int) -> tuple[int, ...]:
+    """The closed mask a relabelled 0, 1, ... in index order, as a hashable
+    key: the number of members, then, for each member above dimension 0,
+    the numbers of its - faces and then of its + faces, each list closed
+    by -1.
 
-
-def _shape(p: OgPoset, a: int) -> list[int]:
-    """The closed mask a relabelled 0, 1, ... in index order: for each
-    member above dimension 0, the numbers of its - faces and then of its
-    + faces, each list closed by -1."""
-    shape = []
+    Equal keys of closed masks make the order-preserving bijection an
+    isomorphism that keeps signs.  The count leads, so both have as many
+    members, and as many above dimension 0 (one pair of lists each), so
+    as many vertices, which come first: indices are sorted by dimension.
+    A face of a member is a member, numbered by its place in the order,
+    so the bijection maps the - and the + faces of each member onto those
+    of its image, both ways.  On a mask that is not closed, a face outside
+    it still gets a number, and the bijection need not be a map.  On cl{x}
+    and cl{y} it maps x to y, so a verdict that reads only a closure is
+    shared by atoms whose closures have one key."""
+    shape = [a.bit_count()]
     for i in bits(a & p._above[0]):
         for faces in (p.faces_minus[i], p.faces_plus[i]):
             while faces:  # a face's number counts the members below it
@@ -691,4 +685,4 @@ def _shape(p: OgPoset, a: int) -> list[int]:
                 shape.append((a & f - 1).bit_count())
                 faces ^= f
             shape.append(-1)
-    return shape
+    return tuple(shape)

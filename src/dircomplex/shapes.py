@@ -14,11 +14,11 @@ from itertools import product
 
 from .ogposet import (
     OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism, _boundary_rows,
-    _match,
 )
 from .construct import (
     BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
-    gray, inflate, inflate_map, _agreeing_map, _boundary_pairing,
+    gray, inflate, inflate_map, _agreeing_map, _boundary_iso,
+    _boundary_pairing,
 )
 
 
@@ -309,9 +309,7 @@ def compositor_c(n: int, k: int) -> CompositorResult:
     inf = inflate(prev.whole)
     pair_n = paste(globe(n), globe(n), k)
     pair_m = prev.incl.source  # the pasted pair of (n-1)-globes
-    iso = _match(pair_m.whole(), pair_n.whole.whole().boundary(+1))
-    if iso is None:
-        raise BoundaryMismatch("compositor boundary mismatch")
+    iso = _boundary_iso(pair_m.whole(), pair_n.whole.whole().boundary(+1))
     whole, j_pair, j_inf = amalgamate(pair_n.whole, inf.whole, {
         iso[x]: inf.iota_minus(prev.incl(x)) for x in range(pair_m.size)})
     # the inflated tower collapses through tau and the previous retraction,

@@ -16,8 +16,8 @@ needs no complex; ``homology`` computes on the smallest exact complex:
 
 The per-atom sphere report runs on cells as far as the induction reaches
 and on nerves above any element that is not cellular.  Elements whose
-closures have the same shape share one check on cells.  Nothing here
-recognizes molecules.
+closures have one ``ogposet._shape`` key, so are isomorphic, share one
+check on cells.  Nothing here recognizes molecules.
 
 Homology is computed over the integers from sparse boundary maps: every
 +-1 entry is eliminated as a pivot, and what is left goes to one exact
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .ogposet import OgPoset, ClosedSubset, bits, _shape_twin
+from .ogposet import OgPoset, ClosedSubset, bits, _shape
 
 
 @dataclass(frozen=True)
@@ -322,17 +322,16 @@ def _cell_pass(p: OgPoset, mask: int
     boundaries from these columns, and ``homology`` that of the mask.
 
     An element x of dimension >= 2 with everything below it cellular takes
-    the ``(sphere, dd = 0)`` verdict of ``_shape_twin``, the first such
-    element filed under its invariant, when their closures have one shape.
-    Both verdicts read ``cl{x}`` alone, the isomorphism of the closures
-    keeps signs, and cellularity is read off a closure too, so the twin was
-    checked on cells and its verdict is the one x would get.  ``simplex(n)``
-    and ``cube(n)`` have one closure shape per dimension.
+    the ``(sphere, dd = 0)`` verdict filed under the ``_shape`` key of
+    ``cl{x}``, when an earlier element's closure had that key.  Both
+    verdicts read ``cl{x}`` alone, the isomorphism of the closures keeps
+    signs, and cellularity is read off a closure too, so that element was
+    checked on cells and its verdict is the one x would get.
+    ``simplex(n)`` and ``cube(n)`` have one closure shape per dimension.
     """
     fp, fm, down, dims = p.faces_plus, p.faces_minus, p.down, p.dims
     cols: dict[int, dict[int, int]] = {}
-    verdicts: dict[int, tuple[bool, bool]] = {}  # (sphere, dd = 0) by x
-    first: dict = {}  # see _shape_twin
+    verdicts: dict[tuple[int, ...], tuple[bool, bool]] = {}  # by _shape key
     cellular = 0
     for x in bits(mask):
         d = dims[x]
@@ -350,15 +349,16 @@ def _cell_pass(p: OgPoset, mask: int
             sphere = below.bit_count() == 2 * d
             verdict = sphere, sphere and sum(col.values()) == 0
         else:
-            twin = _shape_twin(p, x, first)
-            if twin == x:
+            key = _shape(p, down[x])
+            verdict = verdicts.get(key)
+            if verdict is None:
                 levels: list[list[dict[int, int]]] = [[] for _ in range(d)]
                 for y in bits(below):
                     levels[dims[y]].append(cols[y])
                 h = homology(ChainComplex([len(lv) for lv in levels], levels))
                 sphere = _matches(h, sphere_signature(d - 1))
-                verdicts[x] = sphere, sphere and _dd_zero(col, cols)
-            verdict = verdicts[twin]
+                verdict = sphere, sphere and _dd_zero(col, cols)
+                verdicts[key] = verdict
         if verdict[1]:
             cellular |= bit
         yield (x, *verdict, col)

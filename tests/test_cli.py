@@ -147,6 +147,24 @@ def test_topo_verbs(tmp_path, capsys):
     assert code == 0
 
 
+def test_topo_nerve(tmp_path, capsys):
+    # the order complex of the arrow: two edges from its ends to it
+    f = tmp_path / "o1.json"
+    f.write_text(globe(1).to_json())
+    code, out, _ = invoke(capsys, "--json", "topo", "nerve", str(f))
+    assert (code, out.strip()) == (
+        0, '{"counts":[3,2],"simplices":[[[0],[1],[2]],[[0,2],[1,2]]]}')
+    code, out, _ = invoke(capsys, "--json", "topo", "nerve", str(f),
+                          "--boundary")
+    assert (code, out.strip()) == (0, '{"counts":[2],"simplices":[[[0],[1]]]}')
+    g = tmp_path / "d2.json"
+    g.write_text(simplex(2).to_json())
+    code, out, _ = invoke(capsys, "--json", "topo", "nerve", str(g))
+    assert code == 0
+    assert json.loads(out)["counts"] == [7, 12, 6] == \
+        dircomplex.topology.nerve(simplex(2).whole()).counts()
+
+
 def test_corpus_listing_deterministic(capsys):
     code, out1, _ = invoke(capsys, "corpus", "--seed", "0", "--max-dim", "2",
                            "--max-size", "40")

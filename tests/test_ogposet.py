@@ -357,11 +357,31 @@ def test_shape_shortcut_is_the_searched_isomorphism(corpus_members, data):
 
 
 def test_shape_shortcut_needs_as_many_members():
-    # a vertex after the others and under nothing leaves the shape alone
+    # a vertex after the others and under nothing leaves the face numbers
+    # alone, so only the member count that leads the shape tells them apart
     q = OgPoset((0, 0, 0, 1), (0, 0, 0, 0b001), (0, 0, 0, 0b010))
-    assert _shape(q, q.all_mask) == _shape(globe(1), globe(1).all_mask)
+    assert _shape(q, q.all_mask) != _shape(globe(1), globe(1).all_mask)
     assert _match(globe(1).whole(), q.whole()) is None
     assert find_isomorphism(globe(1), q) is None
+
+
+def test_shape_shortcut_needs_closed_masks():
+    # with vertices 3 and 4 swapped, the mask of bd-_1 is not closed in the
+    # copy: its arrow 11 has face 3 there, outside the mask, and the shape
+    # gives that face the number that vertex 4 gets in p
+    p = dict(_pool())["join-simplex2-globe1"]
+    swap = {3: 4, 4: 3}
+
+    def swapped(m):
+        return sum(1 << swap.get(i, i) for i in bits(m))
+    copy = OgPoset(p.dims, [swapped(m) for m in p.faces_minus],
+                   [swapped(m) for m in p.faces_plus])
+    a = p.whole().boundary(-1, 1)
+    b = ClosedSubset(copy, a.mask)
+    assert list(a.elements()) == [1, 4, 11]
+    assert _shape(p, a.mask) == _shape(copy, b.mask)
+    assert copy.closure_mask(b.mask) != b.mask
+    assert _match(a, b) is None
 
 
 def test_shape_shortcut_needs_the_signs(corpus_members, monkeypatch):
@@ -386,6 +406,14 @@ def test_shape_shortcut_needs_the_signs(corpus_members, monkeypatch):
             except AssertionError:
                 failed += 1
     assert failed
+
+
+def test_subset_order_checks_the_parent():
+    # the masks are 0b1 and 0b111, but of different posets
+    with pytest.raises(ValueError, match="different posets"):
+        ClosedSubset(globe(1), 1) <= ClosedSubset(simplex(2), 7)
+    assert ClosedSubset(globe(1), 1) <= globe(1).whole()
+    assert not globe(1).whole() <= ClosedSubset(globe(1), 1)
 
 
 def test_subset_operations_check_the_parent_under_python_O():

@@ -589,6 +589,26 @@ def test_one_boundary_homology_per_dimension(monkeypatch, shape):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, homologies, molecules", [
+    ("join-simplex2-globe1", 5, 30), ("join-globe2-globe1", 6, 26),
+    ("C3-0", 9, 56), ("C4-1", 11, 64)])
+def test_every_closure_shape_is_filed(monkeypatch, name, homologies,
+                                      molecules):
+    # two shapes with the same face counts per dimension are each checked
+    # once; sharing only the first shape per face counts would check
+    # 12 / 9 / 9 / 11 boundaries and make 44 / 32 / 56 / 64 molecule calls
+    from dircomplex import molecule, topology
+    p = dict(_pool())[name]
+    calls = []
+    _spy(monkeypatch, topology, "homology", calls)
+    _spy(monkeypatch, molecule, "is_molecule", calls)
+    assert face_poset_roundtrip(p).ok
+    assert calls == ["homology"] * homologies
+    calls.clear()
+    assert is_regular_complex(p)
+    assert calls == ["is_molecule"] * molecules
+
+
 def test_euler_beside_a_non_cellular_atom_needs_no_complex(monkeypatch):
     # the 2-cell is not cellular, so euler used to count the whole nerve of
     # simplex(6) beside it
