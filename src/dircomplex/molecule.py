@@ -63,9 +63,8 @@ class MoleculeCert:
                     return False
                 continue
             l, r = left.mask, right.mask
-            if (type(node.k) is not int or l == mask or r == mask
-                    or left.parent != p or right.parent != p
-                    or l | r != mask
+            if (l == mask or r == mask or left.parent != p
+                    or right.parent != p or l | r != mask
                     or not composable(left.subset, right.subset, node.k)):
                 return False
             for part in (left, right):
@@ -158,7 +157,9 @@ def _node(parent: OgPoset, mask: int, left: Optional[MoleculeCert] = None,
 def _next_code(downs: list[int], reach: list[int], rows: list[int],
                code: int) -> int:
     """The closed left part after code in ascending order; 0 when only the
-    full code is left.
+    full code is left.  The caller stops at 0, so code is never full, and
+    the closure of the highest bit it lacks meets no lack, so the loop
+    below returns.
 
     Bit i of a code puts top i on the left, and top i on the left forces
     top j there too when ``downs[j]`` meets ``reach[i]``; a code is closed
@@ -208,7 +209,6 @@ def _next_code(downs: list[int], reach: list[int], rows: list[int],
                 break
         else:
             return 0 if closed == (1 << t) - 1 else closed
-    return 0
 
 
 def _split_row(p: OgPoset, x: int) -> tuple[tuple[int, int, int], ...]:
@@ -486,14 +486,15 @@ def is_totally_loop_free(p: OgPoset) -> bool:
 
 
 def composable(a: ClosedSubset, b: ClosedSubset, k: int) -> bool:
-    """Whether a #k b is defined: k >= 0, and a and b (subsets of one poset)
-    meet exactly in bd+_k a = bd-_k b, which has dimension <= k.  Its dim-k
-    part is its generators, the dim-k members of a that no - edge covers
-    (the closure of the members under nothing above k adds none), so they
-    are compared with the intersection's before any closure; dually for b.
+    """Whether a #k b is defined: k is an int >= 0, and a and b (subsets
+    of one poset) meet exactly in bd+_k a = bd-_k b, which has dimension
+    <= k.  Its dim-k part is its generators, the dim-k members of a that no
+    - edge covers (the closure of the members under nothing above k adds
+    none), so they are compared with the intersection's before any
+    closure; dually for b.
     """
     p, inter = a.parent, a.mask & a._other_mask(b)
-    if k < 0 or inter & p.mask_above(k):
+    if type(k) is not int or k < 0 or inter & p.mask_above(k):
         return False
     if k >= p.dim:  # each is its own k-boundary
         return a.mask == inter == b.mask

@@ -238,11 +238,6 @@ class OgPoset:
     def elements_of_dim(self, d: int) -> Iterator[int]:
         return bits(self.dim_mask(d))
 
-    def faces(self, i: int, sign: Optional[int] = None) -> int:
-        if sign is None:
-            return self.faces_minus[i] | self.faces_plus[i]
-        return self.faces_minus[i] if sign < 0 else self.faces_plus[i]
-
     def cofaces(self, i: int, sign: Optional[int] = None) -> int:
         if sign is None:
             return self.cofaces_minus[i] | self.cofaces_plus[i]
@@ -283,9 +278,6 @@ class OgPoset:
         if self._hash is None:
             self._hash = hash((self.dims, self.faces_minus, self.faces_plus))
         return self._hash
-
-    def __len__(self):
-        return self.size
 
     def __repr__(self):
         counts = [m.bit_count() for m in self._dim_masks]
@@ -415,9 +407,6 @@ class ClosedSubset:
     def __len__(self):
         return self.mask.bit_count()
 
-    def __bool__(self):
-        return self.mask != 0
-
     def __le__(self, other):
         return self.mask & ~self._other_mask(other) == 0
 
@@ -468,8 +457,9 @@ class PosetMap:
     def __post_init__(self):
         if len(self.assignment) != self.source.size:
             raise InvalidMap("assignment length differs from source size")
+        n = self.target.size
         for i in self.assignment:
-            if not (0 <= i < self.target.size):
+            if type(i) is not int or not 0 <= i < n:
                 raise IndexOutOfRange(f"image index {i} out of range")
 
     @classmethod

@@ -13,7 +13,8 @@ from functools import lru_cache
 from itertools import product
 
 from .ogposet import (
-    OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism, _boundary_rows,
+    IndexOutOfRange, OgPoset, ClosedSubset, PosetMap, bits, find_isomorphism,
+    _boundary_rows,
 )
 from .construct import (
     BoundaryMismatch, amalgamate, paste, paste_along, substitute, celto,
@@ -435,6 +436,8 @@ def extrtil(k: int, n: int) -> ExtrTilResult:
 
 def horn(p: OgPoset, face_el: int) -> tuple[OgPoset, PosetMap]:
     """The boundary of an atom minus the interior of one codim-1 face."""
+    if not 0 <= face_el < p.size:
+        raise IndexOutOfRange(f"element index {face_el} out of range")
     top = p.whole().greatest()
     if top is None:
         raise ValueError("horns live in atoms")
@@ -483,7 +486,8 @@ def enumerate_maps(u: OgPoset, v: OgPoset) -> list[PosetMap]:
     u_rows = [[(list(bits(minus)), list(bits(plus)))
                for minus, plus in _boundary_rows(u, x, u.dims[x])]
               for x in range(u.size)]
-    u_faces = [list(bits(u.faces(x))) for x in range(u.size)]
+    u_faces = [list(bits(u.faces_minus[x] | u.faces_plus[x]))
+               for x in range(u.size)]
     v_rows: dict[int, list[tuple[int, int]]] = {}
 
     def image(elements):

@@ -38,10 +38,6 @@ class SimplicialComplex:
 
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
-
     def counts(self) -> list[int]:
         return [len(level) for level in self.simplices]
 

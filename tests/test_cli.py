@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 import dircomplex
 from dircomplex import OgPoset, cube, dual, globe, simplex, gen_corpus, shapes
 from dircomplex.cli import (
-    run, export_dot, _COMMANDS, _PARSER, _SHAPES, _SHAPE_LIMIT, _plain_parse,
+    run, export_dot, _COMMANDS, _OPS, _PARSER, _SHAPES, _SHAPE_LIMIT,
+    _plain_parse,
 )
+
+from test_ogposet import _RECORDS
 
 MANIFEST = Path(__file__).resolve().parents[1] / "perfbench/pool/manifest.json"
 
@@ -96,6 +101,11 @@ def test_op_pipeline(tmp_path, capsys):
     assert OgPoset.from_json(lines[0]).size == 5
     maps = json.loads(lines[1])
     assert set(maps) == {"tau", "iota_minus", "iota_plus"}
+    code, out, _ = invoke(capsys, "op", "celto", str(a), str(a), "--emit-maps")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert OgPoset.from_json(lines[0]) == globe(2)
+    assert json.loads(lines[1]) == {"minus": [0, 1, 2], "plus": [0, 1, 3]}
 
 
 def test_op_invalid_input_fails(tmp_path, capsys):
@@ -181,6 +191,10 @@ def test_corpus_emit(capsys):
                           "--max-size", "40", "--emit", "globe2")
     assert code == 0
     assert out.strip() == globe(2).to_json()
+    code, out, err = invoke(capsys, "corpus", "--max-dim", "2",
+                            "--max-size", "40", "--emit", "globe9")
+    assert code == 2 and not out
+    assert err == "no corpus member named globe9\n"
 
 
 def test_dot_deterministic(tmp_path, capsys):
@@ -390,6 +404,29 @@ def test_oversized_shape_is_refused_before_it_is_built(args):
                            f"{_SHAPE_LIMIT} elements\n")
 
 
+@pytest.mark.parametrize("argv", [["shape", "simplex", "14"],
+                                  ["map", "gamma", "14"]])
+def test_oversized_request_is_refused_in_process(capsys, argv):
+    # the least oversized simplex: a broken refusal would build it in a
+    # second, where the cases above run apart because they would exhaust
+    # memory
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err == (f"usage: {' '.join(argv)} builds more than "
+                   f"{_SHAPE_LIMIT} elements\n")
+
+
+def test_run_leaves_a_closed_pipe_to_main(monkeypatch):
+    # main, which the process runs, turns it into a quiet exit 0
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        run(["shape", "globe", "1"])
+
+
 def test_module_runs_the_cli():
     # python -m dircomplex is the console script, with no install
     shape = subprocess.run(
@@ -525,3 +562,40 @@ def test_declined_argv_is_parsed_by_argparse(tmp_path, capsys, argv):
     assert _plain_parse(argv) is None
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_random_records_through_every_file_verb_exit_cleanly(
+        tmp_path_factory, data):
+    # each file-reading verb on a file of random records, the other operands
+    # that file or an arrow: exit 0, 1 or 2, and no exception escapes run
+    base = tmp_path_factory.getbasetemp()
+    records, arrow = base / "records.json", base / "arrow.json"
+    records.write_text(json.dumps({"elements": data.draw(_RECORDS)}))
+    arrow.write_text(globe(1).to_json())
+    f = str(records)
+    verb = data.draw(st.sampled_from(["check", "topo", "dot", "op"]))
+    if verb == "dot":
+        argv = ["dot", f]
+    elif verb != "op":
+        choices = _COMMANDS[verb][2][0][1]["choices"]  # predicates or verbs
+        argv = [verb, data.draw(st.sampled_from(choices)), f]
+        if data.draw(st.booleans()):
+            argv += ["--subset", data.draw(st.sampled_from(["0", "1,2"]))]
+        if verb == "topo" and data.draw(st.booleans()):
+            argv.append("--boundary")
+    else:
+        name = data.draw(st.sampled_from(sorted(_OPS)))
+        count = data.draw(st.sampled_from(_OPS[name][0]))
+        operands = [f] + [data.draw(st.sampled_from([f, str(arrow)]))
+                          for _ in range(count - 1)]
+        if name in ("paste", "subst", "dual") and len(operands) > 1:
+            at = 2 if name == "paste" else 1
+            operands[at] = data.draw(st.sampled_from(["-1", "0", "1", "1,2"]))
+        argv = ["op", name, *operands]
+    argv = data.draw(st.sampled_from([[], ["--json"]])) + argv
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), argv

@@ -270,6 +270,43 @@ def test_substitute_requires_spherical():
         substitute(p, p.closure([cell]), bad)
 
 
+def test_substitute_refuses_a_v_it_cannot_replace():
+    path = paste(globe(1), globe(1), 0).whole
+    for u, v, w, exc, message in (
+            (globe(2), globe(1).whole(), globe(2), NotASubmolecule,
+             "v must be a subset of u"),
+            (globe(1), ClosedSubset(globe(1), 0b11), globe(1),
+             NotASubmolecule, "v is not a molecule"),
+            (path, path.closure([3]), globe(2), BoundaryMismatch,
+             "substitution requires equal dimensions")):
+        with pytest.raises(exc, match=message):
+            substitute(u, v, w)
+
+
+def test_substitute_refusals_behind_recognition(monkeypatch):
+    # on regular molecules neither refusal can fire: the boundary
+    # isomorphisms are unique, and the interior of a submolecule of the
+    # same dimension is a face of nothing outside it
+    g = globe(2)
+    monkeypatch.setattr(construct, "_match", lambda a, b: dict(
+        zip(bits(a.mask), reversed(list(bits(b.mask))))))
+    with pytest.raises(BoundaryMismatch, match="isomorphisms disagree"):
+        substitute(g, g.whole(), g)
+    monkeypatch.undo()
+    # arrows 2..5 from 0 to 1; cells 6: 2 => 3, 7: 3 => 4 and 8: 3 => 5, so
+    # that 3, inside v = cl{6, 7}, is a face of 8 too; u is no molecule,
+    # and recognition is made to read it as v
+    u = OgPoset.from_records(
+        [(0, [], []), (0, [], [])] + [(1, [0], [1])] * 4
+        + [(2, [2], [3]), (2, [3], [4]), (2, [3], [5])])
+    v = u.closure([6, 7])
+    recognize = construct.is_molecule
+    monkeypatch.setattr(construct, "is_molecule", lambda s: recognize(
+        v if s.mask == u.all_mask else s))
+    with pytest.raises(NotASubmolecule, match="interior is not closed"):
+        substitute(u, v, g)
+
+
 def test_celto_builds_globes():
     assert celto(POINT, POINT).whole == globe(1)
     assert celto(globe(1), globe(1)).whole == globe(2)
@@ -574,8 +611,10 @@ def test_cylinder_quotient_of_globe_boundary_is_globe():
 
 def test_cylinder_quotient_rejects_non_closed():
     p = simplex(2)
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed, match="v is not closed"):
         cylinder_quotient(p, ClosedSubset(p, 1 << (p.size - 1)))
+    with pytest.raises(NotClosed, match="v must be a subset of p"):
+        cylinder_quotient(p, globe(2).whole())
 
 
 def _quotient_by_collapse(p, v):
@@ -655,8 +694,13 @@ def test_inflate_map_descends():
     lifted.check()
     assert lifted.is_surjective
     # dimension-dropping surjections do not descend and are refused
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same-dimensional"):
         inflate_map(PosetMap(globe(1), POINT, (0, 0, 0)))
+    with pytest.raises(ValueError, match="lifts only surjections"):
+        inflate_map(PosetMap(globe(1), globe(1), (0, 0, 2)))
+    # no map sends a vertex to the arrow; the lift would split its class
+    with pytest.raises(BoundaryMismatch, match="does not descend"):
+        inflate_map(PosetMap(globe(1), globe(1), (2, 0, 1)))
 
 
 def test_unitor_shapes_and_retractions():
@@ -701,6 +745,18 @@ def test_unitor_refuses_unknown_side_and_sign():
     unitor_shape(u, v, "right", -1)
 
 
+def test_unitor_refuses_a_v_below_the_boundary_dimension():
+    # the input boundary of this 3-atom is (2-globe #0 arrow) #1 triangle,
+    # so the whiskering arrow is a spherical submolecule of it, of dim 1
+    whisker = paste(globe(2), globe(1), 0)
+    triangle = dual(simplex(2), [2])  # two arrows in, one out
+    bd = paste(whisker.whole, triangle, 1)
+    cell = celto(bd.whole, triangle)
+    arrow = cell.minus_incl(bd.left_incl(whisker.right_incl(2)))
+    with pytest.raises(BoundaryMismatch, match="one dimension below u"):
+        unitor_shape(cell.whole, cell.whole.closure([arrow]), "left", +1)
+
+
 def test_reverse_map_clauses():
     inf = inflate(globe(1))
     p = inf.tau
@@ -716,8 +772,10 @@ def test_reverse_map_clauses():
         flipped_bd = rev.source.whole().boundary(sign)
         orig_bd = p.source.whole().boundary(-sign)
         assert flipped_bd.mask == orig_bd.mask
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a dimension drop"):
         reverse_map(PosetMap.identity(globe(1)))
+    with pytest.raises(ValueError, match="defined for surjective maps"):
+        reverse_map(PosetMap(POINT, globe(1), (0,)))
 
 
 def test_join_associative_up_to_iso():

@@ -9,6 +9,7 @@ from dircomplex import (
     is_molecule, enumerate_molecules, has_spherical_boundary,
     paste, inflate, globe, simplex, cube, phi,
 )
+from dircomplex import corpus
 from dircomplex.ogposet import bits
 
 
@@ -47,6 +48,15 @@ def test_recognizer_on_fresh_seeds():
         for name, p in corp.items():
             cert = is_molecule(p.whole())
             assert cert is not None and cert.verify(), (seed, name)
+
+
+def test_gen_corpus_drops_what_is_no_regular_complex(monkeypatch):
+    # every draw of the real corpus is regular, so a failing predicate
+    # stands in for a draw that is not
+    monkeypatch.setattr(corpus, "is_regular_complex", lambda p: p.dim != 1)
+    corp = gen_corpus(seed=0, max_dim=2, max_elements=20)
+    assert "globe2" in corp and "globe1" not in corp
+    assert all(p.dim != 1 for p in corp.values())
 
 
 def test_every_structural_map_is_valid(corpus_members):

@@ -306,6 +306,7 @@ def test_verify_refuses_a_pasting_below_dimension_zero():
     assert is_molecule(p.whole()) is None
     assert not composable(a.subset, b.subset, -1)
     for k in (-1, -2, None, 0.0, "0", True):
+        assert composable(a.subset, b.subset, k) is False, k
         assert MoleculeCert(p, 3, a, b, k).verify() is False, k
     arrow = paste(globe(1), globe(1), 0).whole
     cert = is_molecule(arrow.whole())

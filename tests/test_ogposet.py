@@ -493,6 +493,46 @@ def test_inclusions_preserve_dim_and_orientation():
     assert incl.kind == "inclusion"
 
 
+def test_map_kinds():
+    o1 = globe(1)
+    for m, kind in ((PosetMap.identity(o1), "isomorphism"),
+                    (globe_tau(1, 0), "surjection"),
+                    (PosetMap(o1, o1, (0, 0, 0)), "general")):
+        assert repr(m) == f"PosetMap(3->{m.target.size}, {kind})"
+
+
+def test_map_constructor_refusals():
+    o0, o1 = globe(0), globe(1)
+    with pytest.raises(InvalidMap, match="assignment length"):
+        PosetMap(o0, o0, ())
+    # a float image built, printed as an isomorphism and failed in check()
+    for image in (1, -1, 0.0, True, "0", None):
+        with pytest.raises(IndexOutOfRange, match="image index"):
+            PosetMap(o0, o0, (image,))
+    with pytest.raises(InvalidMap, match="composition mismatch"):
+        PosetMap.identity(o0).then(PosetMap.identity(o1))
+
+
+def test_dim_mask_outside_the_dimensions_is_empty():
+    o1 = globe(1)
+    assert [o1.dim_mask(d) for d in (-1, 0, 1, 2)] == [0, 0b11, 0b100, 0]
+    assert list(o1.elements_of_dim(5)) == []
+
+
+def test_subset_meet_repr_and_truth():
+    o2 = globe(2)
+    a = o2.closure([globe_element(2, 1, -1)])
+    b = o2.closure([globe_element(2, 1, +1)])
+    assert (a & b).mask == o2.dim_mask(0)
+    assert repr(a & b) == "ClosedSubset([0, 1])"
+    assert a and not ClosedSubset(o2, 0)  # truth is the member count
+
+
+def test_poset_equality_with_other_types():
+    assert globe(0).__eq__(0) is NotImplemented
+    assert globe(0) != 0 and globe(0) == OgPoset.point()
+
+
 def test_json_roundtrip_byte_identical(corpus_members):
     for name, p in corpus_members[:10]:
         text = p.to_json()
@@ -778,6 +818,8 @@ def test_construction_check_precedence():
         OgPoset((-1, 1, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(InvalidStructure, match="element 0 has negative"):
         OgPoset((-1, 0, 1), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(InvalidStructure, match="differ in length"):
+        OgPoset((0, 0), (0, 0), (0,))
 
 
 def test_huge_stored_dimension_is_refused_without_tables():
@@ -846,6 +888,40 @@ def _from_records_reference(records):
         fm.append(sum(1 << newpos[j] for j in set(m)))
         fp.append(sum(1 << newpos[j] for j in set(p)))
     return OgPoset(dims, fm, fp)
+
+
+# element records as a JSON file may hold them: mappings, triples, mappings
+# that lack a key and other values, with dims and faces of any sign or type
+_DIM = st.one_of(st.integers(-1, 3), st.booleans(), st.just("1"))
+_FACES = st.one_of(st.lists(st.integers(-1, 5), max_size=3), st.just("0"),
+                   st.lists(st.one_of(st.booleans(), st.none()), max_size=1))
+_RECORDS = st.lists(st.one_of(
+    st.fixed_dictionaries({"dim": _DIM, "minus": _FACES, "plus": _FACES}),
+    st.tuples(_DIM, _FACES, _FACES).map(list),
+    st.dictionaries(st.sampled_from(["dim", "minus", "plus"]),
+                    st.one_of(_DIM, _FACES), max_size=2),
+    st.one_of(st.none(), st.integers(-1, 5), st.lists(_DIM, max_size=4))),
+    max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS)
+def test_any_records_give_a_poset_or_invalid_structure(records):
+    try:
+        p = OgPoset.from_records(records)
+    except InvalidStructure:
+        return
+    assert OgPoset.from_json(p.to_json()) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_gives_the_poset_back(corpus_members, data):
+    p = data.draw(st.one_of(st.sampled_from([q for _, q in corpus_members]),
+                            _oriented_graded_posets()))
+    text = p.to_json()
+    assert OgPoset.from_json(text) == p
+    assert OgPoset.from_json(text).to_json() == text
 
 
 _RECORD_FAULTS = ("none", "missing_key", "out_of_range", "negative_face",

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from dircomplex import (
-    OgPoset, ClosedSubset, PosetMap, find_isomorphism,
+    OgPoset, ClosedSubset, PosetMap, BoundaryMismatch, IndexOutOfRange,
+    find_isomorphism, paste, shapes,
     is_molecule, is_atom, has_spherical_boundary, toplevel_decomposition,
     globe, simplex, cube, globe_element, simplex_index, simplex_bits,
     globe_tau, globe_incl,
@@ -324,8 +325,32 @@ def test_horns():
         incl.check()
         total += 1
     assert total == 3  # one horn per codimension-1 face, as for Kan horns
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="codimension 1"):
         horn(d2, 0)  # a vertex is not codimension 1
+    with pytest.raises(ValueError, match="horns live in atoms"):
+        horn(paste(globe(1), globe(1), 0).whole, 3)
+    # -2 read as element 5, and 7 ended in a bare IndexError
+    for face in (-2, 7):
+        with pytest.raises(IndexOutOfRange, match=f"index {face} out"):
+            horn(d2, face)
+
+
+def test_shape_maps_refuse_parameters_outside_their_range():
+    for call, args, message in (
+            (simplex_face, (2, 3), "face index out of range"),
+            (simplex_face, (2, -1), "face index out of range"),
+            (simplex_degeneracy, (1, 2), "degeneracy index out of range"),
+            (folding_c, (1,), "compositor foldings start in dimension 2"),
+            (extr, (0, 1), "need n > 1 and k >= 0"),
+            (extr, (-1, 2), "need n > 1 and k >= 0"),
+            (fatten, (PosetMap(paste(globe(1), globe(1), 0).whole, POINT,
+                               (0,) * 5),), "fatten needs atoms"),
+            (fatten, (PosetMap.identity(globe(1)),),
+             "fatten needs a surjection with dimension drop 1"),
+            (fatten, (PosetMap(globe(2), globe(1), (0,) * 5),),
+             "fatten needs a surjection with dimension drop 1")):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
 
 
 def test_last_vertex():
@@ -456,6 +481,13 @@ def test_enumerate_maps_deterministic():
     one = [f.assignment for f in enumerate_maps(simplex(2), simplex(1))]
     two = [f.assignment for f in enumerate_maps(simplex(2), simplex(1))]
     assert one == two
+
+
+def test_extrtil_refuses_a_tower_that_is_no_globe(monkeypatch):
+    # the tower over an arrow is a globe; a failed match must stop extrtil
+    monkeypatch.setattr(shapes, "find_isomorphism", lambda p, q: None)
+    with pytest.raises(BoundaryMismatch, match="tower and globe"):
+        extrtil.__wrapped__(0, 2)  # past the cache of the real result
 
 
 def test_extrtil_refuses_a_missing_tower_match_under_python_O():
