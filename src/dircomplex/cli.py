@@ -24,10 +24,11 @@ from .corpus import gen_corpus
 
 
 def _read_complex(path: str) -> OgPoset:
+    # a file is JSON, so UTF-8 whatever the locale; json.loads refuses a BOM
     if path == "-":
         return OgPoset.from_json(sys.stdin.read())
-    with open(path) as f:
-        return OgPoset.from_json(f.read())
+    with open(path, "rb", buffering=0) as f:
+        return OgPoset.from_json(f.read().decode("utf-8"))
 
 
 def _subset(p: OgPoset, selector: str | None) -> ClosedSubset:
@@ -72,11 +73,13 @@ def export_dot(p: OgPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
+# built once: ``json.dumps`` with any option builds an encoder per call
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+_INDENTED = json.JSONEncoder(indent=2).encode
+
+
 def _emit(obj, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        print(json.dumps(obj, indent=2))
+    print((_COMPACT if as_json else _INDENTED)(obj))
 
 
 def _emit_check(kind: str, ok: bool, cert, as_json: bool) -> None:

@@ -9,7 +9,6 @@ boundaries are unions/intersections of precomputed masks.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -53,7 +52,8 @@ class OgPoset:
     ``faces_minus[i]`` and ``faces_plus[i]`` are bitmasks of the elements
     covered by ``i`` with orientation - and + respectively.  The one
     constructor always validates every invariant with mask tests, and
-    precomputes coface masks and downward closures in the same pass.
+    precomputes coface masks, downward closures and the runs of each
+    dimension in the same pass.
     """
 
     __slots__ = (
@@ -69,12 +69,12 @@ class OgPoset:
         n = self.size = len(dims)
         if not (len(self.faces_minus) == len(self.faces_plus) == n):
             raise InvalidStructure("face tables and dims differ in length")
-        self.dim = max(dims) if n else -1
         self.all_mask = (1 << n) - 1
         if list(dims) != sorted(dims):
             raise InvalidStructure(
                 "elements must be sorted by dimension; "
                 "use OgPoset.from_records for raw input")
+        self.dim = dims[-1] if n else -1
         if n and dims[0] < 0:
             raise InvalidStructure("element 0 has negative dimension")
 
@@ -85,49 +85,53 @@ class OgPoset:
         faceless = -1
         bit = 1
         here = start = below = 0  # the current dimension and its run
+        ends = []
         for i, d, fm, fp in zip(range(n), dims, self.faces_minus,
                                 self.faces_plus):
             if d != here:
                 below = (1 << i) - (1 << start) if d == here + 1 else 0
                 here, start = d, i
-            if fm & fp:
-                j = (fm & fp & -(fm & fp)).bit_length() - 1
-                raise OrientationClash(
-                    f"element {i} lists {j} as both a - and a + face")
-            faces = fm | fp
-            if faces >> n:
-                raise IndexOutOfRange(f"element {i} has a face out of range")
-            bad = faces & ~below if d else faces
-            if bad:
-                j = (bad & -bad).bit_length() - 1
-                raise FaceDimMismatch(
-                    f"element {i} (dim {d}) has face {j} of dim {dims[j]}")
-            if d and not faces and faceless < 0:
+                ends.append(i)
+            faces, acc = fm | fp, bit
+            if faces:
+                if fm & fp:
+                    j = (fm & fp & -(fm & fp)).bit_length() - 1
+                    raise OrientationClash(
+                        f"element {i} lists {j} as both a - and a + face")
+                bad = faces & ~below
+                if bad:
+                    if faces >> n:
+                        raise IndexOutOfRange(
+                            f"element {i} has a face out of range")
+                    j = (bad & -bad).bit_length() - 1
+                    raise FaceDimMismatch(f"element {i} (dim {d}) has face "
+                                          f"{j} of dim {dims[j]}")
+                while fm:
+                    low = fm & -fm
+                    j = low.bit_length() - 1
+                    acc |= down[j]
+                    cof_m[j] |= bit
+                    fm ^= low
+                while fp:
+                    low = fp & -fp
+                    j = low.bit_length() - 1
+                    acc |= down[j]
+                    cof_p[j] |= bit
+                    fp ^= low
+            elif d and faceless < 0:
                 faceless = i
-            acc = bit
-            while fm:
-                low = fm & -fm
-                j = low.bit_length() - 1
-                acc |= down[j]
-                cof_m[j] |= bit
-                fm ^= low
-            while fp:
-                low = fp & -fp
-                j = low.bit_length() - 1
-                acc |= down[j]
-                cof_p[j] |= bit
-                fp ^= low
             down[i] = acc
             bit <<= 1
         if faceless >= 0:
             raise NotGraded(f"element {faceless}: stored dim {dims[faceless]}"
                             f" but longest chain has length 0")
-        # graded, so dim < n: dimension d is the index run [ends[d - 1],
-        # ends[d]), and _above[d] (dimension > d) is every bit from ends[d]
-        ends = [bisect_right(dims, d) for d in range(self.dim + 1)]
+        # graded, so dims run from 0 without a gap: dimension d is the index
+        # run [ends[d - 1], ends[d]), and _above[d] every bit from ends[d]
+        if n:
+            ends.append(n)
         self._dim_masks = tuple(
-            (1 << e) - (1 << s) for s, e in zip([0] + ends, ends))
-        self._above = tuple(self.all_mask >> e << e for e in ends)
+            [(1 << e) - (1 << s) for s, e in zip([0] + ends, ends)])
+        self._above = tuple([self.all_mask >> e << e for e in ends])
         self.cofaces_minus = tuple(cof_m)
         self.cofaces_plus = tuple(cof_p)
         self.down = tuple(down)
@@ -148,38 +152,46 @@ class OgPoset:
         pass.
         """
         n = len(records)
-        rows, dims, fm, fp, bad = [], [], [], [], None
+        dims, fm, fp, bad = [], [], [], None
         for i, rec in enumerate(records):
             if isinstance(rec, dict):
                 try:
-                    row = rec["dim"], rec["minus"], rec["plus"]
+                    d, m, p = rec["dim"], rec["minus"], rec["plus"]
                 except KeyError:
                     missing = {"dim", "minus", "plus"} - rec.keys()
                     raise InvalidStructure(
                         f"record {i} lacks {', '.join(sorted(missing))}"
                     ) from None
             elif isinstance(rec, (list, tuple)) and len(rec) == 3:
-                row = tuple(rec)
+                d, m, p = rec
             else:
                 raise InvalidStructure(
                     f"record {i} is neither a mapping nor a triple")
-            d, m, p = row
             if type(d) is not int or d < 0:
                 raise InvalidStructure(
                     f"record {i}: dim must be a non-negative integer")
-            for faces, table in ((m, fm), (p, fp)):
-                mask = 0
-                # a face list that is no list fails as its one non-integer
-                for f in faces if isinstance(faces, (list, tuple)) else [""]:
-                    if type(f) is not int:
-                        raise InvalidStructure(
-                            f"record {i}: faces must be a list of integers")
-                    if 0 <= f < n:
-                        mask |= 1 << f
-                    elif bad is None:
-                        bad = f
-                table.append(mask)
-            rows.append(row)
+            # one loop for - faces and one for +, written out for speed; a
+            # face list that is no list fails as its one non-integer
+            mask = 0
+            for f in m if isinstance(m, (list, tuple)) else [""]:
+                if type(f) is not int:
+                    raise InvalidStructure(
+                        f"record {i}: faces must be a list of integers")
+                if 0 <= f < n:
+                    mask |= 1 << f
+                elif bad is None:
+                    bad = f
+            fm.append(mask)
+            mask = 0
+            for f in p if isinstance(p, (list, tuple)) else [""]:
+                if type(f) is not int:
+                    raise InvalidStructure(
+                        f"record {i}: faces must be a list of integers")
+                if 0 <= f < n:
+                    mask |= 1 << f
+                elif bad is None:
+                    bad = f
+            fp.append(mask)
             dims.append(d)
         if dims == sorted(dims):
             if bad is not None:
@@ -192,6 +204,8 @@ class OgPoset:
 
         def moved(faces):  # faces out of range stay, to be reported in order
             return [newpos[f] if 0 <= f < n else f for f in faces]
+        rows = [(r["dim"], r["minus"], r["plus"]) if isinstance(r, dict)
+                else r for r in records]
         return cls.from_records([(d, moved(m), moved(p))
                                  for d, m, p in map(rows.__getitem__, order)])
 

@@ -13,7 +13,7 @@ import dircomplex
 from dircomplex import OgPoset, cube, dual, globe, simplex, gen_corpus, shapes
 from dircomplex.cli import (
     run, export_dot, _COMMANDS, _OPS, _PARSER, _SHAPES, _SHAPE_LIMIT,
-    _plain_parse,
+    _plain_parse, _read_complex,
 )
 
 from test_ogposet import _RECORDS
@@ -132,6 +132,52 @@ def test_check_refuses_malformed_records(tmp_path, capsys, elements):
     code, _, err = invoke(capsys, "check", "molecule", str(f))
     assert code == 1
     assert err.startswith("invalid: ") and "Traceback" not in err
+
+
+_GLOBE2 = globe(2).to_json().encode()
+
+
+@pytest.mark.parametrize("verb", [["check", "molecule"], ["topo", "homology"]],
+                         ids=["check", "topo"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xef\xbb\xbf" + _GLOBE2, "error: Unexpected UTF-8 BOM (decode using "
+     "utf-8-sig): line 1 column 1 (char 0)"),
+    (_GLOBE2[:12] + b"\xff" + _GLOBE2[12:], "error: 'utf-8' codec can't "
+     "decode byte 0xff in position 12: invalid start byte"),
+], ids=["bom", "invalid-byte"])
+def test_undecodable_file_is_one_error_line(tmp_path, capsys, verb, content,
+                                            message):
+    f = tmp_path / "g.json"
+    f.write_bytes(content)
+    assert invoke(capsys, *verb, str(f)) == (1, "", message + "\n")
+
+
+def test_crlf_file_reads_as_its_lf_twin(tmp_path):
+    text = json.dumps(cube(2).to_json_obj(), indent=2)
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert crlf.read_bytes().count(b"\r\n") == text.count("\n") > 0
+    assert _read_complex(str(crlf)) == _read_complex(str(lf)) == cube(2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["topo", "homology", "{f}"], ["topo", "homology", "{f}", "--boundary"],
+    ["topo", "euler", "{f}"], ["topo", "cwcheck", "{f}"],
+    ["map", "a", "2"], ["map", "c", "2"], ["map", "gamma", "3"],
+    ["map", "sprec", "2"],
+], ids=" ".join)
+def test_indented_output_is_pinned(tmp_path, capsys, argv):
+    # both forms print one object: indented as json.dumps(obj, indent=2),
+    # and compact under --json, each with one newline
+    f = tmp_path / "d2.json"
+    f.write_text(simplex(2).to_json())
+    argv = [str(f) if a == "{f}" else a for a in argv]
+    code, compact, _ = invoke(capsys, "--json", *argv)
+    assert code == 0
+    obj = json.loads(compact)
+    assert compact == json.dumps(obj, separators=(",", ":")) + "\n"
+    assert invoke(capsys, *argv) == (0, json.dumps(obj, indent=2) + "\n", "")
 
 
 def test_map_verbs(capsys):

@@ -822,6 +822,89 @@ def test_construction_check_precedence():
         OgPoset((0, 0), (0, 0), (0,))
 
 
+def _rec(d, minus, plus):
+    return {"dim": d, "minus": minus, "plus": plus}
+
+
+# records with two faults each, and the one refusal they get: type faults
+# in any record come before faces out of range, which come in sorted order,
+# before the element checks; within an element a clash comes first, a face
+# out of range before a face of the wrong dimension, and a face-less
+# element of positive dimension is reported last
+_MULTI_FAULTS = {
+    "type-after-range": ([_rec(0, [], [5]), _rec(0, ["x"], [])],
+                         InvalidStructure,
+                         "record 1: faces must be a list of integers"),
+    "dim-after-range": ([_rec(0, [7], []), _rec(-1, [], [])],
+                        InvalidStructure,
+                        "record 1: dim must be a non-negative integer"),
+    "key-after-range": ([_rec(0, [], [7]), {"dim": 0, "minus": []}],
+                        InvalidStructure, "record 1 lacks plus"),
+    "two-ranges-unsorted": ([_rec(1, [7], [1]), _rec(0, [], []),
+                             _rec(0, [], [-3])],
+                            IndexOutOfRange, "face index -3 out of range"),
+    "two-ranges-sorted": ([_rec(0, [], [7]), _rec(0, [-3], [])],
+                          IndexOutOfRange, "face index 7 out of range"),
+    "clash-and-mismatch": ([_rec(0, [], []), _rec(0, [], []),
+                            _rec(1, [0], [1]), _rec(2, [0], [0, 2])],
+                           OrientationClash,
+                           "element 3 lists 0 as both a - and a + face"),
+    "clash-and-mismatch-unsorted": ([_rec(2, [3], [3, 2]), _rec(0, [], []),
+                                     _rec(1, [1], [3]), _rec(0, [], [])],
+                                    OrientationClash,
+                                    "element 3 lists 1 as both a - and a + "
+                                    "face"),
+    "clash-and-range": ([_rec(0, [], []), _rec(1, [0], [0, 4])],
+                        IndexOutOfRange, "face index 4 out of range"),
+    "faceless-then-mismatch": ([_rec(0, [], []), _rec(1, [], []),
+                                _rec(1, [1], [0])],
+                               FaceDimMismatch,
+                               "element 2 (dim 1) has face 1 of dim 1"),
+    "faceless-then-jump": ([_rec(0, [], []), _rec(1, [], []),
+                            _rec(3, [0], [])],
+                           FaceDimMismatch,
+                           "element 2 (dim 3) has face 0 of dim 0"),
+    "faceless-then-clash": ([_rec(0, [], []), _rec(2, [], []),
+                             _rec(1, [0], [0])],
+                            OrientationClash,
+                            "element 1 lists 0 as both a - and a + face"),
+    "non-list-beside-bad-face": ([_rec(0, [], []), _rec(1, "0", [9])],
+                                 InvalidStructure,
+                                 "record 1: faces must be a list of integers"),
+    "bad-face-beside-non-list": ([_rec(0, [], []), _rec(1, [9], 5)],
+                                 InvalidStructure,
+                                 "record 1: faces must be a list of integers"),
+    "bool-beside-bad-face": ([_rec(0, [], []), _rec(1, [True], [-1])],
+                             InvalidStructure,
+                             "record 1: faces must be a list of integers"),
+    "non-list-in-a-triple": ([(0, [], []), (1, [0], None)],
+                             InvalidStructure,
+                             "record 1: faces must be a list of integers"),
+    # face tables, past the parser
+    "range-beats-a-lower-mismatch": (((0, 1, 1), (0, 0, 0b10 | 1 << 9),
+                                      (0, 0, 0)),
+                                     IndexOutOfRange,
+                                     "element 2 has a face out of range"),
+    "mismatch-before-range": (((0, 1, 1), (0, 0b10, 1 << 9), (0, 0, 0)),
+                              FaceDimMismatch,
+                              "element 1 (dim 1) has face 1 of dim 1"),
+    "faceless-then-range": (((0, 1, 1), (0, 0, 1 << 5), (0, 0, 0)),
+                            IndexOutOfRange,
+                            "element 2 has a face out of range"),
+}
+
+
+@pytest.mark.parametrize("records, exc, message", _MULTI_FAULTS.values(),
+                         ids=_MULTI_FAULTS)
+def test_multi_fault_refusal_precedence(records, exc, message):
+    with pytest.raises(InvalidStructure) as info:
+        if isinstance(records, tuple):
+            OgPoset(*records)
+        else:
+            OgPoset.from_records(records)
+    assert (type(info.value), str(info.value)) == (exc, message)
+
+
 def test_huge_stored_dimension_is_refused_without_tables():
     # no graded poset of n elements has dimension n or more, and a file
     # may claim any dimension: refusing it must not cost memory in
