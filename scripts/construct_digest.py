@@ -18,7 +18,13 @@ class and message of the ``ValueError`` they raise:
 - ``unitor_shape`` on each side and sign, at each atom of top dimension of
   that side's boundary and at the whole side.
 
-Two commits that print the same digest give byte-identical outputs on all
+A second digest, ``shapes_sha256``, hashes the same way what the shape
+towers return, each built from cleared shape caches: ``extr(k, n)`` for
+k <= 2 and ``extrtil(k, n)`` for k <= 1, both for n <= 4, ``compositor_c(n,
+k)`` for n <= 5, and ``phi``, ``folding_a``, ``folding_c`` and ``sprec`` of
+0 to 5.
+
+Two commits that print the same digests give byte-identical outputs on all
 of these.
 
     python scripts/construct_digest.py [--src path/to/src]
@@ -62,13 +68,16 @@ def main() -> int:
                     for f in dataclasses.fields(x)}
         return x
 
-    def record(name, call, *argv) -> None:
-        nonlocal records
+    def line(name, call, *argv) -> bytes:
         try:
             got = out(call(*argv))
         except ValueError as exc:
             got = [type(exc).__name__, str(exc)]
-        h.update(json.dumps([name, call.__name__, got]).encode() + b"\n")
+        return json.dumps([name, call.__name__, got]).encode() + b"\n"
+
+    def record(name, call, *argv) -> None:
+        nonlocal records
+        h.update(line(name, call, *argv))
         records += 1
 
     def substitute_compos(u, v, w):
@@ -123,7 +132,23 @@ def main() -> int:
                 for unit_sign in (-1, +1):
                     record(f"{a_name} {side} {i} {unit_sign}",
                            dc.unitor_shape, a, v, side, unit_sign)
-    print(json.dumps({"records": records, "sha256": h.hexdigest()}))
+
+    shapes = dc.shapes
+    towers = ([(shapes.extr, k, n) for k in range(3) for n in range(5)]
+              + [(shapes.extrtil, k, n) for k in range(2) for n in range(5)]
+              + [(shapes.compositor_c, n, k) for n in range(6)
+                 for k in range(n)]
+              + [(call, n) for call in (shapes.phi, shapes.folding_a,
+                                        shapes.folding_c, shapes.sprec)
+                 for n in range(6)])
+    caches = [f for f in vars(shapes).values() if hasattr(f, "cache_clear")]
+    shapes_h = hashlib.sha256()
+    for call, *argv in towers:
+        for f in caches:
+            f.cache_clear()
+        shapes_h.update(line(" ".join(map(str, argv)), call, *argv))
+    print(json.dumps({"records": records, "sha256": h.hexdigest(),
+                      "shapes_sha256": shapes_h.hexdigest()}))
     return 0
 
 

@@ -74,7 +74,8 @@ def main() -> int:
 
     def run(argv: list[str], text: str) -> tuple[int, str]:
         out = io.StringIO()
-        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        stdin = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()))
         try:
             with contextlib.redirect_stdout(out):
                 code = cli.run(argv)

@@ -24,9 +24,9 @@ from .corpus import gen_corpus
 
 
 def _read_complex(path: str) -> OgPoset:
-    # a file is JSON, so UTF-8 whatever the locale; json.loads refuses a BOM
+    # file or stdin, JSON is UTF-8 in any locale; json.loads refuses a BOM
     if path == "-":
-        return OgPoset.from_json(sys.stdin.read())
+        return OgPoset.from_json(sys.stdin.buffer.read().decode("utf-8"))
     with open(path, "rb", buffering=0) as f:
         return OgPoset.from_json(f.read().decode("utf-8"))
 

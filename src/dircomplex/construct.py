@@ -518,6 +518,7 @@ def inflate_map(p: PosetMap) -> PosetMap:
         raise ValueError("inflation lifts only same-dimensional surjections")
     if not p.is_surjective:
         raise ValueError("inflation lifts only surjections")
+    p.check()
     squot, scls = _inflation(p.source)
     tquot, tcls = _inflation(p.target)
     return _agreeing_map(

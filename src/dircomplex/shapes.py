@@ -204,11 +204,11 @@ def fatten(p: PosetMap) -> PosetMap:
                          "boundary images disagree on the overlap")
 
 
-@lru_cache(maxsize=None)
 def iterated_inflate(p: OgPoset, k: int) -> OgPoset:
-    if k == 0:
-        return p
-    return inflate(iterated_inflate(p, k - 1)).whole
+    """The k-fold inflation of p, built afresh: a reference for the towers."""
+    for _ in range(k):
+        p = inflate(p).whole
+    return p
 
 
 def _iterated_inflate_map(f: PosetMap, k: int) -> PosetMap:
@@ -356,9 +356,10 @@ def extr(k: int, n: int) -> ExtrResult:
         return ExtrResult(pr.whole, pr.left_incl, retr)
 
     prev = extr(k - 1, n)
-    tower_prev = iterated_inflate(simplex(n - 1), k)      # O^k(D^{n-1})
+    tower_prev = prev.j_incl.source                        # O^k(D^{n-1})
     inf = inflate(tower_prev)                              # O^{k+1}(D^{n-1})
-    base = iterated_inflate(simplex(n), k - 1)             # O^{k-1}(D^n)
+    osprec = _iterated_inflate_map(sprec(n), k - 1)
+    base = osprec.source                                   # O^{k-1}(D^n)
     a = celto(base, prev.whole)
     b = celto(prev.whole, base)
     # the inflated tower is pasted onto its copy inside the output boundary
@@ -371,8 +372,6 @@ def extr(k: int, n: int) -> ExtrResult:
     jm = pr1.left_incl.then(pr2.left_incl)
     ja = pr1.right_incl.then(pr2.left_incl)
     jb = pr2.right_incl
-
-    osprec = _iterated_inflate_map(sprec(n), k - 1)
     top_prev = tower_prev.whole().greatest()
 
     def clauses():
@@ -405,7 +404,7 @@ def extrtil(k: int, n: int) -> ExtrTilResult:
     way down to a globe."""
     if n == 2:
         e = extr(k, 2)
-        tower = iterated_inflate(simplex(1), k + 1)
+        tower = e.j_incl.source
         g = globe(k + 2)
         iso = find_isomorphism(tower, g)
         if iso is None:
@@ -416,7 +415,7 @@ def extrtil(k: int, n: int) -> ExtrTilResult:
         return ExtrTilResult(e.whole, ginc, e.retr.then(iso))
     e = extr(k, n)
     t = extrtil(k + 1, n - 1)
-    tower = iterated_inflate(simplex(n - 1), k + 1)
+    tower = e.j_incl.source
     v = e.j_incl.image(tower.whole())
     sub = substitute(e.whole, v, t.whole)
 

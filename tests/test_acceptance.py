@@ -23,7 +23,7 @@ from dircomplex import (
 )
 from dircomplex.construct import gray_with_index, join_with_index
 from dircomplex.molecule import NotAMolecule
-from dircomplex.shapes import sprec, iterated_inflate
+from dircomplex.shapes import sprec
 from dircomplex.topology import sphere_signature, ball_signature, _matches
 from dircomplex.ogposet import bits
 

@@ -137,19 +137,38 @@ def test_check_refuses_malformed_records(tmp_path, capsys, elements):
 _GLOBE2 = globe(2).to_json().encode()
 
 
-@pytest.mark.parametrize("verb", [["check", "molecule"], ["topo", "homology"]],
-                         ids=["check", "topo"])
-@pytest.mark.parametrize("content, message", [
+_UNDECODABLE = [
     (b"\xef\xbb\xbf" + _GLOBE2, "error: Unexpected UTF-8 BOM (decode using "
      "utf-8-sig): line 1 column 1 (char 0)"),
     (_GLOBE2[:12] + b"\xff" + _GLOBE2[12:], "error: 'utf-8' codec can't "
      "decode byte 0xff in position 12: invalid start byte"),
-], ids=["bom", "invalid-byte"])
+]
+
+
+@pytest.mark.parametrize("verb", [["check", "molecule"], ["topo", "homology"]],
+                         ids=["check", "topo"])
+@pytest.mark.parametrize("content, message", _UNDECODABLE,
+                         ids=["bom", "invalid-byte"])
 def test_undecodable_file_is_one_error_line(tmp_path, capsys, verb, content,
                                             message):
     f = tmp_path / "g.json"
     f.write_bytes(content)
     assert invoke(capsys, *verb, str(f)) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("content, message", _UNDECODABLE,
+                         ids=["bom", "invalid-byte"])
+def test_stdin_is_decoded_as_a_file_is(tmp_path, capsys, monkeypatch,
+                                       content, message):
+    # the stream's own decoding (surrogateescape, as in a C or UTF-8 locale)
+    # is bypassed: the bytes are strict UTF-8, as a file's are
+    f = tmp_path / "g.json"
+    f.write_bytes(content)
+    stdin = io.TextIOWrapper(io.BytesIO(content), errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    from_stdin = invoke(capsys, "check", "molecule", "-")
+    assert from_stdin == invoke(capsys, "check", "molecule", str(f))
+    assert from_stdin == (1, "", message + "\n")
 
 
 def test_crlf_file_reads_as_its_lf_twin(tmp_path):
@@ -276,7 +295,8 @@ def test_library_and_cli_agree(tmp_path, capsys):
 
 def test_stdin_dash(monkeypatch, capsys):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(globe(2).to_json()))
+    stdin = io.TextIOWrapper(io.BytesIO(globe(2).to_json().encode()))
+    monkeypatch.setattr("sys.stdin", stdin)
     code = run(["check", "regular", "-"])
     out = capsys.readouterr()
     assert code == 0

@@ -15,8 +15,8 @@ from dircomplex import (
     gray, gray_boundary_check, join, join_boundary_check,
     suspend, dual, op,
     cylinder_quotient, inflate, inflate_map, unitor_shape, reverse_map,
-    BoundaryMismatch, NotAMolecule, NotASubmolecule, NotSpherical,
-    NotClosed,
+    BoundaryMismatch, InvalidMap, NotAMolecule, NotASubmolecule,
+    NotSpherical, NotClosed,
     globe, simplex, cube, globe_element, compositor_c, extr, extrtil, phi,
     folding_a,
 )
@@ -698,9 +698,11 @@ def test_inflate_map_descends():
         inflate_map(PosetMap(globe(1), POINT, (0, 0, 0)))
     with pytest.raises(ValueError, match="lifts only surjections"):
         inflate_map(PosetMap(globe(1), globe(1), (0, 0, 2)))
-    # no map sends a vertex to the arrow; the lift would split its class
-    with pytest.raises(BoundaryMismatch, match="does not descend"):
-        inflate_map(PosetMap(globe(1), globe(1), (2, 0, 1)))
+    # a non-map is refused before it is lifted: the vertices swapped, and a
+    # vertex sent to the arrow, whose lift would split the vertex's class
+    for assign in [(1, 0, 2), (2, 0, 1)]:
+        with pytest.raises(InvalidMap, match="not preserved"):
+            inflate_map(PosetMap(globe(1), globe(1), assign))
 
 
 def test_unitor_shapes_and_retractions():

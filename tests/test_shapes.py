@@ -1,15 +1,11 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from dircomplex import (
     OgPoset, ClosedSubset, PosetMap, BoundaryMismatch, IndexOutOfRange,
-    find_isomorphism, paste, shapes,
+    construct, find_isomorphism, paste, shapes,
     is_molecule, is_atom, has_spherical_boundary, toplevel_decomposition,
     globe, simplex, cube, globe_element, simplex_index, simplex_bits,
     globe_tau, globe_incl,
@@ -259,8 +255,10 @@ def test_compositor_c_tower():
 
 
 def test_extr_shapes():
-    for k, n in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2)]:
+    for k, n in itertools.product(range(4), range(2, 5)):
         e = extr(k, n)
+        # the tower E_k^n retracts onto: the inflated (n-1)-simplex tower
+        assert e.j_incl.source == iterated_inflate(simplex(n - 1), k + 1)
         ident = tuple(range(e.j_incl.source.size))
         assert e.j_incl.then(e.retr).assignment == ident
         cert = is_molecule(e.whole.whole())
@@ -271,6 +269,23 @@ def test_extr_shapes():
             a, _ = e.whole.whole().boundary(sign).extract()
             b, _ = tower.whole().boundary(sign).extract()
             assert find_isomorphism(a, b) is not None
+
+
+def _clear_shape_caches():
+    for f in vars(shapes).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def test_extrtil_inflates_each_tower_once(monkeypatch):
+    # each tower is read off the result that built it, never rebuilt
+    built = []
+    real = construct._cylinder_quotient
+    monkeypatch.setattr(construct, "_cylinder_quotient",
+                        lambda p, v: built.append(p) or real(p, v))
+    _clear_shape_caches()
+    extrtil(0, 4)
+    assert len(built) == 10
 
 
 def test_extr_retraction_square():
@@ -348,7 +363,11 @@ def test_shape_maps_refuse_parameters_outside_their_range():
             (fatten, (PosetMap.identity(globe(1)),),
              "fatten needs a surjection with dimension drop 1"),
             (fatten, (PosetMap(globe(2), globe(1), (0,) * 5),),
-             "fatten needs a surjection with dimension drop 1")):
+             "fatten needs a surjection with dimension drop 1"),
+            # no map law is checked, but a vertex sent to the arrow would
+            # sit in both of the arrow's inflated copies
+            (fatten, (PosetMap(globe(2), globe(1), (2, 0, 1, 2, 2)),),
+             "boundary images disagree on the overlap")):
         with pytest.raises(ValueError, match=message):
             call(*args)
 
@@ -488,20 +507,3 @@ def test_extrtil_refuses_a_tower_that_is_no_globe(monkeypatch):
     monkeypatch.setattr(shapes, "find_isomorphism", lambda p, q: None)
     with pytest.raises(BoundaryMismatch, match="tower and globe"):
         extrtil.__wrapped__(0, 2)  # past the cache of the real result
-
-
-def test_extrtil_refuses_a_missing_tower_match_under_python_O():
-    # with -O an assert is stripped, so the check must be a raise
-    script = (
-        "from dircomplex import BoundaryMismatch, shapes\n"
-        "shapes.find_isomorphism = lambda p, q: None\n"
-        "try:\n"
-        "    shapes.extrtil(0, 2)\n"
-        "except BoundaryMismatch:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('extrtil went on without a tower-to-globe map')\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", script],
-                         env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr + out.stdout
