@@ -356,23 +356,19 @@ def _plain_value(token: str, kw: dict):
 
 
 def _plain_parse(argv: list) -> argparse.Namespace | None:
-    """``_PARSER.parse_args(argv)`` read from ``_COMMANDS`` for argv in the
+    """``_PARSER.parse_args(argv)`` read from ``_PLAIN`` for argv in the
     plain form: an optional leading ``--json``, the command, its positionals
     in order, then exact option strings, each value option followed by its
     value.  None for anything else (abbreviations, ``--opt=value``, ``-h``,
     ``--``, misplaced or missing tokens), which argparse then parses."""
     as_json = argv[:1] == ["--json"]
     command, *rest = argv[as_json:] or [None]
-    if command not in _COMMANDS:
+    if command not in _PLAIN:
         return None
-    func, _, arguments = _COMMANDS[command]
-    ns = {"json": as_json, "command": command, "func": func}
+    positionals, options, defaults = _PLAIN[command]
+    ns = {"json": as_json, "command": command, **defaults}
     i, n = 0, len(rest)
-    for name, kw in arguments:
-        if name[0] == "-":
-            ns[name[2:].replace("-", "_")] = kw.get(
-                "default", False if "action" in kw else None)
-            continue
+    for name, kw in positionals:
         many, values = kw.get("nargs") == "*", []
         while i < n and (many or not values):
             value = _plain_value(rest[i], kw)
@@ -383,9 +379,8 @@ def _plain_parse(argv: list) -> argparse.Namespace | None:
         if not (many or values):
             return None
         ns[name] = values if many else values[0]
-    options = dict(arguments)
-    while i < n and rest[i][:2] == "--" and rest[i] in options:
-        kw, dest = options[rest[i]], rest[i][2:].replace("-", "_")
+    while i < n and rest[i] in options:
+        dest, kw = options[rest[i]]
         if "action" in kw:  # store_true
             ns[dest], i = True, i + 1
             continue
@@ -393,11 +388,29 @@ def _plain_parse(argv: list) -> argparse.Namespace | None:
         if value is None:
             return None
         i += 2
-    return argparse.Namespace(**ns) if i == n else None
+    if i < n:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(ns)  # Namespace(**ns) sets one attribute at a time
+    return args
+
+
+def _plain_table(func, arguments) -> tuple[list, dict, dict]:
+    """One command as ``_plain_parse`` reads it: its positionals in order,
+    ``{option string: (dest, keywords)}``, and the defaults of every option
+    and of ``func``."""
+    options = {name: (name[2:].replace("-", "_"), kw)
+               for name, kw in arguments if name[0] == "-"}
+    defaults = {dest: kw.get("default", False if "action" in kw else None)
+                for dest, kw in options.values()}
+    return ([(name, kw) for name, kw in arguments if name[0] != "-"],
+            options, {**defaults, "func": func})
 
 
 # built once: building takes far longer than parsing one request
 _PARSER = build_parser()
+_PLAIN = {command: _plain_table(func, arguments)
+          for command, (func, _, arguments) in _COMMANDS.items()}
 
 
 def run(argv) -> int:

@@ -682,11 +682,18 @@ def _shape(p: OgPoset, a: int) -> tuple[int, ...]:
     and cl{y} it maps x to y, so a verdict that reads only a closure is
     shared by atoms whose closures have one key."""
     shape = [a.bit_count()]
+    add, fm, fp = shape.append, p.faces_minus, p.faces_plus
     for i in bits(a & p._above[0]):
-        for faces in (p.faces_minus[i], p.faces_plus[i]):
-            while faces:  # a face's number counts the members below it
-                f = faces & -faces
-                shape.append((a & f - 1).bit_count())
-                faces ^= f
-            shape.append(-1)
+        faces = fm[i]
+        while faces:  # a face's number counts the members below it
+            f = faces & -faces
+            add((a & f - 1).bit_count())
+            faces ^= f
+        add(-1)
+        faces = fp[i]
+        while faces:
+            f = faces & -faces
+            add((a & f - 1).bit_count())
+            faces ^= f
+        add(-1)
     return tuple(shape)

@@ -12,7 +12,9 @@ needs no complex; ``homology`` computes on the smallest exact complex:
   on its column (``face_poset_roundtrip`` gives the argument).  Every
   element of a regular directed complex is cellular, since it realizes as
   a regular CW complex and ``dd = 0`` there is globularity;
-- the nerve itself otherwise, which needs no assumption.
+- otherwise, one such complex per connected component of the Hasse
+  diagram, homology adding over them, and the nerve itself, which needs
+  no assumption, on a connected subset.
 
 The per-atom sphere report runs on cells as far as the induction reaches
 and on nerves above any element that is not cellular.  Elements whose
@@ -103,17 +105,22 @@ def _invariants(columns: list[dict[int, int]]) -> list[int]:
 
     Every +-1 entry can be a pivot: column operations clear the rest of its
     row, after which its row and column split off as an invariant factor 1.
-    Whatever no unit pivot reaches goes to dense Smith normal form.
+    Whatever no unit pivot reaches goes to dense Smith normal form.  Zero
+    columns change no invariant and are dropped first.
     """
-    cols = [dict(c) for c in columns]
+    cols = [dict(c) for c in columns if c]
+    if not cols:
+        return []
     rows: dict[int, set[int]] = {}
     for j, c in enumerate(cols):
         for r in c:
             rows.setdefault(r, set()).add(j)
     units = 0
     for j, col in enumerate(cols):
-        r = next((r for r, v in col.items() if v in (1, -1)), None)
-        if r is None:
+        for r, v in col.items():  # the first unit entry is the pivot
+            if v == 1 or v == -1:
+                break
+        else:
             continue
         units += 1
         cols[j] = {}
@@ -121,16 +128,16 @@ def _invariants(columns: list[dict[int, int]]) -> list[int]:
             rows[g].discard(j)
         for j2 in rows.pop(r):
             other = cols[j2]
-            a = other.pop(r) * col[r]
+            a = other.pop(r) * v
             for g, e in col.items():
                 if g == r:
                     continue
-                v = other.get(g, 0) - a * e
-                if not v:
+                w = other.get(g, 0) - a * e
+                if not w:
                     del other[g]
                     rows[g].discard(j2)
                 else:
-                    other[g] = v
+                    other[g] = w
                     rows[g].add(j2)
     live = [c for c in cols if c]
     if not live:
@@ -189,7 +196,8 @@ def homology(k: Union[SimplicialComplex, ChainComplex, OgPoset,
     or closed subset gives the homology of its nerve, computed on the
     smallest exact complex (see the module docstring): a point's when it
     has a greatest element, else Steiner's complex from the columns that
-    ``_cell_pass`` built when every member is cellular, else the nerve's.
+    ``_cell_pass`` built when every member is cellular, else the sum over
+    its connected components (``_component_sum``).
     """
     if isinstance(k, (OgPoset, ClosedSubset)):
         u = k.whole() if isinstance(k, OgPoset) else k
@@ -198,7 +206,7 @@ def homology(k: Union[SimplicialComplex, ChainComplex, OgPoset,
         levels: list[list[dict[int, int]]] = [[] for _ in range(u.dim + 1)]
         for x, _, cellular, col in _cell_pass(u.parent, u.mask):
             if not cellular:
-                return homology(nerve(u))
+                return _component_sum(u)
             levels[u.parent.dims[x]].append(col)
         k = ChainComplex([len(lv) for lv in levels], levels)
     cc = k if isinstance(k, ChainComplex) else chain_complex(k)
@@ -206,6 +214,30 @@ def homology(k: Union[SimplicialComplex, ChainComplex, OgPoset,
     return [(n - len(inv[d]) - len(inv[d + 1]),
              sorted(x for x in inv[d + 1] if x > 1))
             for d, n in enumerate(cc.counts)]
+
+
+def _component_sum(u: ClosedSubset) -> list[tuple[int, list[int]]]:
+    """Homology of u as the direct sum over the connected components of its
+    Hasse diagram, each closed and on its own smallest exact complex; only
+    a connected u takes its nerve.  Torsion goes back to invariant factors,
+    so Z/2 + Z/3 reads [6], as on the whole nerve."""
+    parts: list[int] = []
+    for top in u.maximal():  # the closures of the maximal members cover u
+        m = u.parent.down[top]
+        for c in [c for c in parts if c & m]:
+            parts.remove(c)
+            m |= c
+        parts.append(m)
+    if len(parts) == 1:
+        return homology(nerve(u))
+    betti, torsion = [0] * (u.dim + 1), [[] for _ in range(u.dim + 1)]
+    for m in parts:
+        for d, (b, t) in enumerate(homology(ClosedSubset(u.parent, m))):
+            betti[d] += b
+            torsion[d] += t
+    return [(b, [x for x in _smith_diagonal(
+        [[x * (i == j) for j in range(len(t))] for i, x in enumerate(t)])
+        if x > 1]) for b, t in zip(betti, torsion)]
 
 
 def euler(k: Union[SimplicialComplex, OgPoset, ClosedSubset]) -> int:
@@ -331,8 +363,17 @@ def _cell_pass(p: OgPoset, mask: int
     cellular = 0
     for x in bits(mask):
         d = dims[x]
-        col = cols[x] = {**dict.fromkeys(bits(fp[x]), 1),
-                         **dict.fromkeys(bits(fm[x]), -1)}
+        col = cols[x] = {}
+        faces = fp[x]  # + faces first, then - faces, each in index order
+        while faces:
+            f = faces & -faces
+            col[f.bit_length() - 1] = 1
+            faces ^= f
+        faces = fm[x]
+        while faces:
+            f = faces & -faces
+            col[f.bit_length() - 1] = -1
+            faces ^= f
         bit = 1 << x
         below = down[x] ^ bit
         if below & ~cellular:

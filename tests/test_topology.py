@@ -6,6 +6,7 @@ from dircomplex import (
 from dircomplex.topology import (
     ChainComplex, SimplicialComplex, chain_complex, _smith_diagonal,
     sphere_signature, ball_signature, _matches, _cell_pass, _dd_zero,
+    _invariants,
 )
 from dircomplex.ogposet import bits
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ import pytest
 from math import gcd
 import itertools
 import json
+import time
 
 POINT = OgPoset.point()
 
@@ -329,12 +331,22 @@ def test_cli_homology_takes_nerve_path_off_the_gate(tmp_path, capsys,
     built = []
     _spy(monkeypatch, topology, "nerve", built)
     _spy(monkeypatch, ChainComplex, "check_dd_zero", built)
-    # the non-globular 2-cell is no cellular element, and a disjoint vertex
-    # leaves no greatest element: only the nerve is exact
+    # the non-globular 2-cell is no cellular element, and the 2-globe pasted
+    # beside it leaves no greatest element in one connected piece: only the
+    # nerve is exact
+    p = NON_CELLULAR[1]
+    code, out = _topo(tmp_path, capsys, p, "homology")
+    assert code == 0 and built == ["nerve", "check_dd_zero"]
+    assert out["H"] == [{"betti": b, "torsion": t}
+                        for b, t in homology(nerve(p))]
+    # a disjoint vertex leaves no greatest element either, but the two
+    # connected components each have one: each is a cone, and nothing is
+    # built
+    built.clear()
     p = OgPoset.from_records(PARALLEL_INPUT.to_json_obj()["elements"]
                              + [{"dim": 0, "minus": [], "plus": []}])
     code, out = _topo(tmp_path, capsys, p, "homology")
-    assert code == 0 and built == ["nerve", "check_dd_zero"]
+    assert code == 0 and built == []
     assert out["H"] == [{"betti": b, "torsion": t}
                         for b, t in homology(nerve(p))]
     # with the greatest element the nerve is a cone: nothing is built
@@ -631,3 +643,98 @@ def test_cells_and_roundtrip_match_nerve_on_random_posets(p):
     _agrees_with_nerve(p.whole())
     for x in range(p.size):
         _agrees_with_nerve(ClosedSubset(p, p.down[x]).boundary())
+
+
+def _disjoint(*pieces: OgPoset) -> OgPoset:
+    """The disjoint union of the pieces, glued along nothing."""
+    from dircomplex.construct import amalgamate
+    out = pieces[0]
+    for q in pieces[1:]:
+        out = amalgamate(out, q, {})[0]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), count=st.integers(2, 3))
+def test_homology_sums_over_connected_components(corpus_members, data,
+                                                 count):
+    # the nerve of a disjoint union is the union of the nerves: whichever
+    # complex each component takes, the sum must be the whole nerve's
+    small = [p for _, p in corpus_members if p.size <= 40]
+    pieces = [data.draw(st.one_of(st.sampled_from(small),
+                                  st.sampled_from(NON_CELLULAR),
+                                  _oriented_graded_posets()))
+              for _ in range(count)]
+    u = _disjoint(*pieces).whole()
+    for w in (u, u.boundary()):
+        assert homology(w) == homology(nerve(w)), bin(w.mask)
+
+
+def _face_poset(triangles) -> OgPoset:
+    """The face poset of the simplicial complex spanned by ``triangles``,
+    each face signed (-1)^i where vertex i is dropped, so every element is
+    cellular and Steiner's complex is the simplicial one."""
+    k = _closed_complex(triangles)
+    index = {c: i for i, c in enumerate(s for lv in k.simplices for s in lv)}
+    records = []
+    for c in index:
+        faces = [(i, index[c[:i] + c[i + 1:]])
+                 for i in range(len(c))] if len(c) > 1 else []
+        records.append({"dim": len(c) - 1,
+                        "minus": [f for i, f in faces if i % 2],
+                        "plus": [f for i, f in faces if not i % 2]})
+    return OgPoset.from_records(records)
+
+
+# a disc whose boundary 9-gon wraps three times round the triangle 0, 1, 2:
+# an inner ring 3..11 and a centre 12, so H_1 = Z/3
+MOORE3_TRIANGLES = [t for i in range(9) for t in (
+    (i % 3, (i + 1) % 3, 3 + i), ((i + 1) % 3, 3 + i, 3 + (i + 1) % 9),
+    (3 + i, 3 + (i + 1) % 9, 12))]
+
+
+def test_component_sum_merges_torsion_into_invariant_factors(monkeypatch):
+    from dircomplex import topology
+    rp2, moore3 = _face_poset(RP2_TRIANGLES), _face_poset(MOORE3_TRIANGLES)
+    assert homology(rp2) == [(1, []), (0, [2]), (0, [])]
+    assert homology(moore3) == [(1, []), (0, [3]), (0, [])]
+    calls = []
+    _spy(monkeypatch, topology, "_component_sum", calls)
+    # the non-cellular third piece sends the union to the component sum;
+    # its torsion reads as the whole nerve's: Z/2 + Z/3 = Z/6
+    for pieces, torsion in (((rp2, moore3), [6]), ((rp2, rp2), [2, 2])):
+        calls.clear()
+        u = _disjoint(*pieces, NON_CELLULAR[1])
+        h = homology(u)
+        assert calls[0] == "_component_sum"
+        assert h[1][1] == torsion
+        assert h == homology(nerve(u))
+
+
+def test_homology_beside_a_non_cellular_atom_builds_no_nerve(monkeypatch):
+    # both components have a greatest element, so each is a point; the
+    # whole nerve has 94,608 simplices and takes 1.4 s
+    from dircomplex import topology
+    from dircomplex.construct import amalgamate
+    p = amalgamate(simplex(6), PARALLEL_INPUT, {})[0]
+    calls = []
+    _spy(monkeypatch, topology, "nerve", calls)
+    start = time.perf_counter()
+    assert homology(p) == [(2, [])] + [(0, [])] * 6
+    assert time.perf_counter() - start < 0.25
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 4))
+def test_sparse_kernel_matches_dense_smith(data, rows):
+    # empty columns, an all-empty input and entries other than +-1 too
+    entry = st.sampled_from([1, -1, 2, -2, 3, -4, 6, 12])
+    cols = data.draw(st.lists(
+        st.dictionaries(st.integers(0, rows - 1), entry, max_size=rows)
+        if rows else st.just({}), max_size=5))
+    copy = [dict(c) for c in cols]
+    dense = [[c.get(r, 0) for c in cols] for r in range(rows)]
+    assert sorted(_invariants(cols)) == _smith_diagonal(dense) == \
+        _determinantal_invariants(dense)
+    assert cols == copy  # the kernel works on its own copy
